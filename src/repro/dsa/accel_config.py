@@ -93,6 +93,6 @@ class AccelConfig:
         )
 
     def remove_wq(self, wq_id: int) -> None:
-        """Tear down a work queue (root only)."""
+        """Tear down an empty work queue (root only)."""
         self._check()
-        self.device.queue_space.remove(wq_id)
+        self.device.remove_wq(wq_id)

@@ -167,6 +167,9 @@ class DsaDevice:
             for engine_id in range(self.config.engine_count)
         }
         self._groups: dict[int, GroupConfig] = {}
+        #: Dispatch index: ``(group, its queues by id)`` per group, in
+        #: configuration order; rebuilt by :meth:`_reindex`.
+        self._dispatch_plan: list[tuple[GroupConfig, list[WorkQueue]]] = []
         self._batch_buffers: dict[int, list[BatchBufferEntry]] = {
             engine_id: [] for engine_id in self.engines
         }
@@ -194,6 +197,7 @@ class DsaDevice:
                         f"engine {engine_id} already belongs to group {other.group_id}"
                     )
         self._groups[group_id] = GroupConfig(group_id=group_id, engine_ids=engine_ids)
+        self._reindex()
 
     def configure_wq(self, wq_config: WorkQueueConfig) -> WorkQueue:
         """Create a virtual work queue (its group must exist)."""
@@ -201,7 +205,36 @@ class DsaDevice:
             raise QueueConfigurationError(
                 f"WQ {wq_config.wq_id} references unknown group {wq_config.group_id}"
             )
-        return self.queue_space.configure(wq_config)
+        queue = self.queue_space.configure(wq_config)
+        self._reindex()
+        return queue
+
+    def remove_wq(self, wq_id: int) -> None:
+        """Tear down a work queue that holds no descriptors.
+
+        A queue whose occupancy register is non-zero at the current time
+        still owns tickets (queued or executing); removing it would
+        orphan them, so the removal is refused.  Disable the queue and
+        wait for its executing descriptors first.
+        """
+        self.advance_to(self.clock.now)
+        occupancy = self.queue_space.get(wq_id).occupancy
+        if occupancy:
+            raise QueueConfigurationError(
+                f"WQ {wq_id} still holds {occupancy} descriptor(s); "
+                "disable it and wait for completion before removing it"
+            )
+        self.queue_space.remove(wq_id)
+        self._reindex()
+
+    def _reindex(self) -> None:
+        """Rebuild the group -> queues dispatch index after a config change."""
+        queues: dict[int, list[WorkQueue]] = {group_id: [] for group_id in self._groups}
+        for queue in self.queue_space.queues():
+            queues[queue.config.group_id].append(queue)
+        self._dispatch_plan = [
+            (group, queues[group.group_id]) for group in self._groups.values()
+        ]
 
     def bind_process(self, pasid: int, address_space) -> None:
         """Install a PASID → page-table binding (device open path)."""
@@ -370,32 +403,52 @@ class DsaDevice:
     # Dispatch
     # ------------------------------------------------------------------
     def _dispatch_ready(self, limit: int) -> None:
-        """Dispatch everything that can start at or before *limit*."""
+        """Dispatch everything that can start at or before *limit*.
+
+        Passes run over the groups in configuration order, and within a
+        group over its engines, until a pass makes no progress — the
+        dispatch-order contract of DESIGN.md.
+        """
         if not self._pending_work:
             return
         progressed = True
         while progressed:
             progressed = False
-            for group in self._groups.values():
-                queues = [
-                    queue
-                    for queue in self.queue_space.queues()
-                    if queue.config.group_id == group.group_id
-                ]
+            for group, queues in self._dispatch_plan:
+                ready: list[WorkQueue] | None = None
                 for engine_id in group.engine_ids:
-                    if self._try_dispatch_one(group, engine_id, queues, limit):
+                    if ready is None:
+                        ready = [
+                            queue
+                            for queue in queues
+                            if (head := queue.peek()) is not None
+                            and head.enqueue_time <= limit
+                        ]
+                    if self._try_dispatch_one(group, engine_id, ready, limit):
                         progressed = True
+                        ready = None
 
     def _try_dispatch_one(
         self,
         group: GroupConfig,
         engine_id: int,
-        queues: list[WorkQueue],
+        ready: list[WorkQueue],
         limit: int,
     ) -> bool:
-        engine = self.engines[engine_id]
+        """Dispatch one descriptor to *engine_id*; *ready* are the queues
+        of *group* whose head is ready at *limit*."""
         buffer = self._batch_buffers[engine_id]
-        choice = self.arbiter.choose(queues, buffer, limit)
+        if not ready and not buffer:
+            return False
+        engine = self.engines[engine_id]
+        # An engine busy past *limit* can take only a batch descriptor:
+        # the fetcher needs no processing unit, and batch children are
+        # plain work descriptors.
+        if engine.earliest_start(limit) > limit and not any(
+            isinstance(queue.peek().descriptor, BatchDescriptor) for queue in ready
+        ):
+            return False
+        choice = self.arbiter.choose(ready, buffer, limit)
         if choice is None:
             return False
 
@@ -406,7 +459,7 @@ class DsaDevice:
         )
 
         if isinstance(descriptor, BatchDescriptor):
-            return self._dispatch_batch(group, choice, queues, limit)
+            return self._dispatch_batch(group, choice, ready, limit)
 
         start = engine.earliest_start(
             after=choice.ready_time,
@@ -416,8 +469,8 @@ class DsaDevice:
             return False
 
         monitor = self.invariant_monitor
-        snapshot = self._ready_heads(queues, limit) if monitor is not None else None
-        ticket = self._pop_choice(choice)
+        snapshot = self._ready_heads(ready) if monitor is not None else None
+        ticket = self._pop_choice(choice, buffer)
         ticket.dispatch_time = start
         ticket.engine_id = engine_id
         if monitor is not None:
@@ -445,16 +498,14 @@ class DsaDevice:
         self,
         group: GroupConfig,
         choice: ArbiterChoice,
-        queues: list[WorkQueue],
+        ready: list[WorkQueue],
         limit: int,
     ) -> bool:
         """Hand a batch descriptor to the batch engine (fetcher)."""
         assert choice.wq_entry is not None, "batches only arrive via work queues"
         start = choice.ready_time
-        if start > limit:
-            return False
         monitor = self.invariant_monitor
-        snapshot = self._ready_heads(queues, limit) if monitor is not None else None
+        snapshot = self._ready_heads(ready) if monitor is not None else None
         ticket = self._pop_choice(choice)
         batch = ticket.descriptor
         assert isinstance(batch, BatchDescriptor)
@@ -495,38 +546,40 @@ class DsaDevice:
             self._pending_work += 1
         return True
 
-    def _ready_heads(
-        self, queues: list[WorkQueue], time: int
-    ) -> tuple[tuple[int, int, int], ...]:
+    @staticmethod
+    def _ready_heads(ready: list[WorkQueue]) -> tuple[tuple[int, int, int], ...]:
         """Ready queue heads as ``(wq_id, priority, enqueue_time)`` triples.
 
         The arbiter-fairness invariant compares this snapshot (taken at
         choice time, before the chosen entry is popped) against the
         dispatched descriptor.
         """
-        heads = []
-        for queue in queues:
-            entry = queue.peek()
-            if entry is not None and entry.enqueue_time <= time:
-                heads.append(
-                    (queue.wq_id, queue.config.priority, entry.enqueue_time)
-                )
-        return tuple(heads)
+        return tuple(
+            (queue.wq_id, queue.config.priority, queue.peek().enqueue_time)
+            for queue in ready
+        )
 
-    def _pop_choice(self, choice: ArbiterChoice) -> SubmissionTicket:
-        """Remove the chosen entry from its source and return its ticket."""
+    def _pop_choice(
+        self, choice: ArbiterChoice, buffer: list[BatchBufferEntry] | None = None
+    ) -> SubmissionTicket:
+        """Remove the chosen entry from its source and return its ticket.
+
+        *buffer* is the batch buffer the arbiter chose from (needed only
+        for batch-buffer choices).
+        """
         self._pending_work -= 1
         if choice.wq_entry is not None:
             assert choice.wq is not None
             entry = choice.wq.pop()
             assert entry is choice.wq_entry, "arbiter raced the queue"
             return self._tickets.pop((choice.wq.wq_id, entry.sequence))
-        assert choice.batch_entry is not None
-        for engine_buffer in self._batch_buffers.values():
-            if choice.batch_entry in engine_buffer:
-                engine_buffer.remove(choice.batch_entry)
-                return choice.batch_entry.parent_token
-        raise AssertionError("batch entry vanished from every buffer")
+        batch_entry = choice.batch_entry
+        assert batch_entry is not None and buffer is not None
+        for index, item in enumerate(buffer):
+            if item is batch_entry:
+                del buffer[index]
+                return batch_entry.parent_token
+        raise AssertionError("batch entry vanished from its buffer")
 
     # ------------------------------------------------------------------
     # Introspection

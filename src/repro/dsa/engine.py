@@ -31,7 +31,9 @@ past the first skip the per-page IOTLB simulation.)
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_right, insort_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -88,6 +90,9 @@ class _InFlight:
     token: object = None
 
 
+_completion_time = attrgetter("completion_time")
+
+
 @dataclass
 class EngineStats:
     """Aggregate per-engine counters."""
@@ -134,6 +139,7 @@ class Engine:
         self.noise = noise
         self.rng = rng
         self.timing = timing or EngineTiming()
+        #: Executing descriptors, ordered by completion time (see :meth:`admit`).
         self.inflight: list[_InFlight] = []
         self.stats = EngineStats()
         self.fault_injector = None
@@ -151,32 +157,37 @@ class Engine:
         descriptor finishes".  *needs_idle* forces an empty engine (used
         by ``drain``).
         """
+        inflight = self.inflight
         limit = 0 if needs_idle else self.timing.concurrent_descriptors - 1
-        if len(self.inflight) <= limit:
+        if len(inflight) <= limit:
             return after
-        completions = sorted(item.completion_time for item in self.inflight)
-        barrier = completions[len(self.inflight) - 1 - limit]
-        return max(after, barrier)
+        return max(after, inflight[len(inflight) - 1 - limit].completion_time)
 
     def admit(self, completion_time: int, token: object) -> None:
-        """Record a descriptor as executing until *completion_time*."""
-        self.inflight.append(_InFlight(completion_time=completion_time, token=token))
+        """Record a descriptor as executing until *completion_time*.
+
+        :attr:`inflight` stays ordered by completion time; equal times
+        keep admission order, which is the order they retire in.
+        """
+        insort_right(
+            self.inflight,
+            _InFlight(completion_time=completion_time, token=token),
+            key=_completion_time,
+        )
 
     def retire_due(self, time: int) -> list[object]:
         """Remove and return tokens of descriptors completed by *time*."""
-        if not self.inflight:
-            return []
-        done = [item for item in self.inflight if item.completion_time <= time]
+        inflight = self.inflight
+        done = bisect_right(inflight, time, key=_completion_time)
         if not done:
             return []
-        self.inflight = [item for item in self.inflight if item.completion_time > time]
-        return [item.token for item in sorted(done, key=lambda i: i.completion_time)]
+        tokens = [item.token for item in inflight[:done]]
+        del inflight[:done]
+        return tokens
 
     def next_completion_time(self) -> int | None:
         """Earliest pending completion, or ``None`` when idle."""
-        if not self.inflight:
-            return None
-        return min(item.completion_time for item in self.inflight)
+        return self.inflight[0].completion_time if self.inflight else None
 
     @property
     def busy(self) -> bool:
