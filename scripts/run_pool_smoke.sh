@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
-# Persistent-pool smoke test:
+# Worker-pool smoke test:
 #
-#   1. lint preflight (includes the PAR002 pool-resource rule and its
-#      whole-program twins PAR101/EXC101 — cross-process shared-state
-#      writes and resource leaks through helper returns),
-#   2. run a small fig09 sweep serially and again on the supervised
-#      pool (--executor pool, 2 workers), byte-compare the artifacts,
-#   3. run the pytest suites marked `pool` (excluded from tier-1):
-#      the chaos matrix (crash/stall/corrupt workers, external kill -9,
-#      SIGTERM drain) plus anything else riding the marker.
+#   1. lint preflight (includes the PAR001 worker-closure rule, the
+#      PAR002 pool-resource rule and its whole-program twins
+#      PAR101/EXC101 — cross-process shared-state writes and resource
+#      leaks through helper returns),
+#   2. run a small fig09 sweep serially and again with --workers 2 on the
+#      supervised pool (--executor pool), byte-compare the artifacts,
+#   3. run the pytest suites marked `parallel` or `pool` (excluded from
+#      tier-1): the serial≡parallel sweeps, the fault matrix across the
+#      process boundary, and the pool chaos matrix (crash/stall/corrupt
+#      workers, external kill -9, SIGTERM drain).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -32,7 +34,7 @@ echo "== diff artifact =="
 cmp "$workdir/serial/result.pkl" "$workdir/pool/result.pkl"
 echo "   pooled artifact is byte-identical to the serial run"
 
-echo "== pytest -m pool =="
-python -m pytest tests -o addopts="" -m pool -q "$@"
+echo "== pytest -m \"parallel or pool\" =="
+python -m pytest tests -o addopts="" -m "parallel or pool" -q "$@"
 
 echo "pool smoke test passed"

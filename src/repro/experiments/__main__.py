@@ -19,14 +19,12 @@ validating its config hash; ``--deadline S`` stops cleanly before a
 wall-clock budget expires; ``--breaker-threshold N`` opens the failure
 circuit breaker after N consecutive contained failures; ``--set k=v``
 overrides a ``trial_plan`` keyword (values parsed as Python literals);
-``--workers N`` shards the trials across N worker processes (``--shard``
-picks the partition strategy) with output observation-equivalent to a
-serial run — a checkpointed run may even switch worker counts between
-``--run-dir`` and ``--resume`` (see docs/parallel.md); ``--executor``
-picks the multi-process engine — ``auto`` (the supervised persistent
-pool, degrading to the serial loop when parallelism cannot pay on this
-host), ``pool`` (the pool, unconditionally), or ``spawn`` (one-shot
-spawned shards).
+``--workers N`` runs the trials on a supervised pool of N worker
+processes with output observation-equivalent to a serial run — a
+checkpointed run may even switch worker counts between ``--run-dir``
+and ``--resume`` (see docs/parallel.md); ``--executor`` picks how the
+pool runs — ``auto`` (degrading to the serial loop when parallelism
+cannot pay on this host) or ``pool`` (the pool, unconditionally).
 
 Exit codes (see :mod:`repro.experiments.runner` and docs/robustness.md):
 
@@ -73,7 +71,7 @@ from repro.experiments.checkpoint import (
     atomic_write_pickle,
     atomic_write_text,
 )
-from repro.experiments.parallel import SHARD_STRATEGIES, PlanHandle
+from repro.experiments.parallel import PlanHandle
 from repro.experiments.runner import (
     EXIT_CONFIG_MISMATCH,
     EXIT_INTERRUPTED,
@@ -129,7 +127,6 @@ def run_one(
     deadline: float | None = None,
     breaker_threshold: int | None = None,
     workers: int = 1,
-    shard: str = "interleave",
     executor: str = "auto",
 ) -> int:
     """Run one experiment under supervision; returns its exit code.
@@ -156,9 +153,8 @@ def run_one(
             deadline_s=deadline,
             breaker=breaker,
             workers=workers,
-            shard_strategy=shard,
             executor=executor,
-            # Trial closures do not pickle; shard workers rebuild the
+            # Trial closures do not pickle; pool workers rebuild the
             # plan from the module's trial_plan hook instead.
             plan_source=PlanHandle(module.__name__, dict(overrides or {})),
         )
@@ -260,22 +256,15 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="shard trials across N worker processes (1 = serial; "
+        help="run trials on a pool of N worker processes (1 = serial; "
         "results are identical either way)",
     )
     parser.add_argument(
-        "--shard",
-        choices=sorted(SHARD_STRATEGIES),
-        default="interleave",
-        help="how --workers partitions trials across processes",
-    )
-    parser.add_argument(
         "--executor",
-        choices=("auto", "pool", "spawn"),
+        choices=("auto", "pool"),
         default="auto",
-        help="multi-process engine for --workers: the supervised "
-        "persistent pool with cost-model degradation (auto), the pool "
-        "unconditionally (pool), or one-shot spawned shards (spawn)",
+        help="how --workers runs the pool: with cost-model degradation "
+        "to the serial loop (auto), or unconditionally (pool)",
     )
     args = parser.parse_args(argv)
 
@@ -312,7 +301,6 @@ def main(argv: list[str] | None = None) -> int:
                 deadline=args.deadline,
                 breaker_threshold=args.breaker_threshold,
                 workers=args.workers,
-                shard=args.shard,
                 executor=args.executor,
             )
         except KeyboardInterrupt:

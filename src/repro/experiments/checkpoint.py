@@ -404,7 +404,7 @@ class CheckpointJournal:
     ) -> JournalEntry:
         """Journal a failure from its summary strings.
 
-        The sharded executor reports failures across a process boundary
+        The worker pool reports failures across a process boundary
         as ``(type name, message)`` rather than exception objects; this
         writes the same record :meth:`record_failure` would.
         """

@@ -1,56 +1,25 @@
-"""Sharded multi-process experiment execution.
+"""What a multi-process experiment run shares with its worker processes.
 
 Every DSAssassin artifact is a sweep of independent, deterministic
-trials (the PR-2 contract: a trial's randomness derives from the run
-seed and its own key, never from execution order).  This module exploits
-that contract to run an :class:`~repro.experiments.runner.ExperimentPlan`
-across ``multiprocessing`` workers while staying **observation
-equivalent** to the serial loop in
-:func:`~repro.experiments.runner.run_experiment`:
+trials (a trial's randomness derives from the run seed and its own key,
+never from execution order).  The supervised worker pool in
+:mod:`repro.experiments.pool` exploits that contract to run an
+:class:`~repro.experiments.runner.ExperimentPlan` across processes
+while staying observation equivalent to the serial loop in
+:func:`~repro.experiments.runner.run_experiment`.  This module holds the
+pieces a plan and its trials see of that execution:
 
-* the checkpoint journal holds the same entries (journals are written in
-  plan-index order regardless of completion order),
-* the run manifest records the same counts, status, and exit code,
-* the finalized artifact — and any dataset built from the run directory
-  — is byte-identical to a serial run's,
-* ``--resume`` works across a worker-count change in either direction
-  (the journal is addressed by trial key, not by shard).
-
-Execution model
----------------
-The parent process prepares the checkpoint, partitions the *pending*
-trial indices across workers with a :data:`SHARD_STRATEGIES` function,
-and spawns one process per non-empty shard (``spawn`` start method —
-no inherited state; ``PYTHONHASHSEED`` is pinned for the children).
-Workers cannot receive the plan object itself (trial closures generally
-do not pickle), so each worker rebuilds the plan from a picklable
-zero-argument *plan source* — typically a :class:`PlanHandle` naming a
-module whose ``trial_plan(**overrides)`` hook reconstructs it — and
-verifies the rebuilt plan's config hash against the parent's before
-running anything.
-
-Each worker owns private supervision state: its own
-:class:`~repro.experiments.runner.CircuitBreaker`, its own
-:class:`~repro.faults.injector.FaultInjector` built from
-``plan.fault_plan`` (reachable from trial code via
-:func:`current_fault_injector`), and whatever per-system
-:class:`~repro.invariants.monitor.InvariantMonitor` instances its trials
-construct.  Results stream back over a queue; the parent journals them
-as they arrive and merges shard outcomes:
-
-* **watchdog** — the parent tracks the longest trial seen across all
-  shards and trips the shared stop event once the remaining budget can
-  no longer fit it (same soft-deadline semantics as serial; exit 75),
-* **circuit breaker** — per-worker breakers gate their own shard;
-  the manifest aggregates every worker's transition events and the
-  worst observed state,
-* **invariants** — an :class:`~repro.errors.InvariantViolation` in any
-  worker aborts the whole run with
-  :data:`~repro.experiments.runner.EXIT_INVARIANT` (6), exactly like a
-  serial trip,
-* **interrupts** — SIGINT/SIGTERM in the parent (or a
-  ``KeyboardInterrupt`` escaping a worker trial) stops every shard,
-  drains in-flight results into the journal, and exits 130, resumable.
+* **plan sources** — workers cannot receive the plan object itself
+  (trial closures generally do not pickle), so each worker rebuilds it
+  from a picklable zero-argument source: a :class:`PlanHandle` naming a
+  module whose ``trial_plan(**overrides)`` hook reconstructs it, or the
+  pickled plan when it does pickle;
+* **the partition** — :func:`shard_interleave` splits the pending trial
+  indices into round-robin shards;
+* **the worker context** — :func:`current_worker_context` and
+  :func:`current_fault_injector` tell trial code which worker runs it
+  and hand it that worker's own
+  :class:`~repro.faults.injector.FaultInjector`.
 
 See ``docs/parallel.md`` for the equivalence argument and worker-count
 guidance, and ``tests/experiments/test_parallel_equivalence.py`` for the
@@ -60,69 +29,20 @@ differential serial≡parallel suite.
 from __future__ import annotations
 
 import importlib
-import multiprocessing
-import os
 import pickle
-import traceback
 from dataclasses import dataclass, field
-from pathlib import Path
-from queue import Empty
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.errors import (
-    ConfigurationError,
-    InvariantViolation,
-    ReproError,
-)
-from repro.experiments.checkpoint import (
-    STATUS_DEADLINE,
-    STATUS_INSUFFICIENT,
-    STATUS_INTERRUPTED,
-    STATUS_INVARIANT,
-    CheckpointJournal,
-    RunManifest,
-)
-from repro.experiments.guard import TrialFailure, run_guarded_trials
-from repro.experiments.runner import (
-    STOP_DEADLINE,
-    BreakerConfig,
-    CircuitBreaker,
-    ExperimentPlan,
-    RunOutcome,
-    Watchdog,
-    _ordered_successes,
-    insufficient_error,
-    monotonic_clock,
-    prepare_checkpoint,
-    resolve_finalize,
-)
-from repro.experiments.supervisor import interrupt_shield, sigterm_as_interrupt
+from repro.errors import ConfigurationError
+from repro.experiments.runner import ExperimentPlan
 
 __all__ = [
     "PlanHandle",
-    "SHARD_STRATEGIES",
-    "STOP_PARALLEL",
     "WorkerContext",
     "current_fault_injector",
     "current_worker_context",
-    "run_parallel_experiment",
-    "shard_contiguous",
     "shard_interleave",
 ]
-
-#: Hash seed pinned into spawned workers (when the parent has none), so
-#: shard processes never diverge on ``hash()``-dependent iteration that a
-#: DET003 gap might let slip through.
-_PINNED_HASH_SEED = "0"
-
-#: How long the parent waits on the result queue between supervision
-#: checks (watchdog, worker liveness).  Purely a poll interval — it does
-#: not rate-limit result consumption.
-_POLL_S = 0.1
-
-#: How long a parent interrupt keeps draining already-finished results
-#: before giving up on slow shards.
-_DRAIN_S = 30.0
 
 
 # ----------------------------------------------------------------------
@@ -178,42 +98,17 @@ def _coerce_plan_source(
 
 
 # ----------------------------------------------------------------------
-# Shard strategies
+# The partition
 # ----------------------------------------------------------------------
 def shard_interleave(indices: Sequence[int], workers: int) -> list[list[int]]:
-    """Round-robin partition: worker *w* gets ``indices[w::workers]``.
+    """Round-robin partition: shard *w* gets ``indices[w::workers]``.
 
-    The default — heterogeneous trial costs (e.g. fig09's window sweep,
-    where small bit windows run longer) spread evenly across shards.
+    Heterogeneous trial costs (e.g. fig09's window sweep, where small
+    bit windows run longer) spread evenly across shards.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return [list(indices[w::workers]) for w in range(workers)]
-
-
-def shard_contiguous(indices: Sequence[int], workers: int) -> list[list[int]]:
-    """Balanced consecutive blocks (earlier shards take the remainder).
-
-    Useful when neighboring trials share warm state outside the plan
-    (e.g. page-cache locality of a dataset directory).
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    base, extra = divmod(len(indices), workers)
-    shards: list[list[int]] = []
-    start = 0
-    for w in range(workers):
-        size = base + (1 if w < extra else 0)
-        shards.append(list(indices[start:start + size]))
-        start += size
-    return shards
-
-
-#: name -> partition function, the ``--shard`` registry.
-SHARD_STRATEGIES: dict[str, Callable[[Sequence[int], int], list[list[int]]]] = {
-    "interleave": shard_interleave,
-    "contiguous": shard_contiguous,
-}
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +116,7 @@ SHARD_STRATEGIES: dict[str, Callable[[Sequence[int], int], list[list[int]]]] = {
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class WorkerContext:
-    """What a trial can learn about the shard process executing it."""
+    """What a trial can learn about the worker process executing it."""
 
     worker_id: int
     workers: int
@@ -232,7 +127,7 @@ _WORKER_CONTEXT: WorkerContext | None = None
 
 
 def current_worker_context() -> WorkerContext | None:
-    """The executing shard's context, or ``None`` outside a worker."""
+    """The executing worker's context, or ``None`` outside a worker."""
     return _WORKER_CONTEXT
 
 
@@ -241,442 +136,8 @@ def current_fault_injector() -> Any:
     :class:`~repro.faults.injector.FaultInjector` (built from
     ``plan.fault_plan``), or ``None`` outside a worker / without a plan.
 
-    Trial code that fires chaos faults under the sharded executor uses
+    Trial code that fires chaos faults on the worker pool uses
     this instead of a closed-over injector, so the fired-versus-
     acknowledged audit stays inside the worker that fired the fault.
     """
     return _WORKER_CONTEXT.fault_injector if _WORKER_CONTEXT else None
-
-
-# Message tags on the worker -> parent result queue.
-_MSG_TRIAL = "trial"
-_MSG_INVARIANT = "invariant"
-_MSG_INTERRUPTED = "interrupted"
-_MSG_CRASHED = "crashed"
-_MSG_DONE = "done"
-
-#: Guard ``stop`` reason inside workers when the parent trips the shared
-#: stop event (deadline, invariant elsewhere, interrupt).
-STOP_PARALLEL = "parallel-stop"
-
-
-def _worker_main(
-    worker_id: int,
-    workers: int,
-    plan_source: Callable[[], ExperimentPlan],
-    indices: list[int],
-    expected_hash: str,
-    result_q: Any,
-    stop_event: Any,
-    breaker: BreakerConfig | None,
-    catch: tuple[type[Exception], ...],
-) -> None:
-    """Execute one shard: rebuild the plan, run the assigned trials,
-    stream results back.  Runs in a spawned child process."""
-    global _WORKER_CONTEXT
-    circuit = CircuitBreaker(breaker)
-    try:
-        plan = plan_source()
-        if plan.hash != expected_hash:
-            raise ConfigurationError(
-                f"plan source is not deterministic: worker {worker_id} "
-                f"rebuilt config hash {plan.hash[:12]}…, parent expected "
-                f"{expected_hash[:12]}… — shard results cannot be merged "
-                "safely"
-            )
-        injector = (
-            plan.fault_plan.build_injector()
-            if plan.fault_plan is not None
-            else None
-        )
-        # Intentional per-process singleton: written exactly once at
-        # worker startup (before any trial runs) and only ever read by
-        # the accessors above — divergence across workers is the point,
-        # each worker must see its *own* injector.
-        _WORKER_CONTEXT = WorkerContext(  # repro-lint: ignore[PAR101]
-            worker_id=worker_id, workers=workers, fault_injector=injector
-        )
-
-        def stop() -> str | None:
-            return STOP_PARALLEL if stop_event.is_set() else None
-
-        def skip_trial(local: int) -> str | None:
-            return circuit.gate(indices[local])
-
-        def on_trial_end(
-            local: int,
-            result: Any,
-            failure: TrialFailure | None,
-            elapsed_s: float,
-        ) -> None:
-            index = indices[local]
-            key = plan.trials[index].key
-            circuit.record(index, failure is None)
-            if failure is None:
-                result_q.put(
-                    (_MSG_TRIAL, worker_id, index, key, True,
-                     result, None, None, elapsed_s)
-                )
-            else:
-                result_q.put(
-                    (_MSG_TRIAL, worker_id, index, key, False, None,
-                     type(failure.error).__name__, str(failure.error),
-                     elapsed_s)
-                )
-
-        guarded = run_guarded_trials(
-            [plan.trials[index].fn for index in indices],
-            catch=catch,
-            min_successes=0,  # the floor is enforced over merged results
-            label=f"{plan.name}[shard {worker_id}]",
-            skip_trial=skip_trial,
-            stop=stop,
-            on_trial_end=on_trial_end,
-            fault_injector=injector,
-        )
-        result_q.put((_MSG_DONE, worker_id, _shard_summary(circuit, guarded)))
-    except InvariantViolation as exc:
-        try:
-            payload = pickle.dumps(exc, protocol=4)
-        except (pickle.PicklingError, TypeError, AttributeError, ValueError):
-            payload = None
-        result_q.put(
-            (_MSG_INVARIANT, worker_id, payload, {
-                "message": str(exc),
-                "invariant": exc.invariant,
-                "seed": exc.seed,
-                "repro": exc.repro,
-            })
-        )
-        result_q.put((_MSG_DONE, worker_id, _shard_summary(circuit, None)))
-    except KeyboardInterrupt:
-        result_q.put((_MSG_INTERRUPTED, worker_id))
-        result_q.put((_MSG_DONE, worker_id, _shard_summary(circuit, None)))
-    # The worker's last line of defense: ANY other escape (programming
-    # error, SystemExit from library code) must reach the parent as a
-    # crash report, or the merge loop would wait on a silent shard.
-    except BaseException:  # repro-lint: ignore[EXC001]
-        result_q.put((_MSG_CRASHED, worker_id, traceback.format_exc()))
-        result_q.put((_MSG_DONE, worker_id, _shard_summary(circuit, None)))
-
-
-def _shard_summary(circuit: CircuitBreaker, guarded: Any) -> dict[str, Any]:
-    """The per-shard accounting attached to its ``done`` message."""
-    return {
-        "stop_reason": guarded.stop_reason if guarded is not None else "",
-        "stop_skipped": guarded.skipped if guarded is not None else 0,
-        "breaker_skipped": circuit.skipped,
-        "breaker_events": list(circuit.events),
-        "breaker_state": circuit.state.value,
-    }
-
-
-def _rebuild_violation(
-    payload: bytes | None, summary: dict[str, Any]
-) -> InvariantViolation:
-    """The worker's violation, unpickled — or reconstructed from its
-    summary fields when the full object cannot cross the process
-    boundary (e.g. an unpicklable snapshot value)."""
-    if payload is not None:
-        try:
-            exc = pickle.loads(payload)
-            if isinstance(exc, InvariantViolation):
-                return exc
-        except (pickle.UnpicklingError, TypeError, AttributeError,
-                EOFError, ImportError):
-            pass
-    return InvariantViolation(
-        message=summary.get("message", ""),
-        invariant=summary.get("invariant", ""),
-        seed=summary.get("seed"),
-        repro=summary.get("repro", ""),
-    )
-
-
-_BREAKER_SEVERITY = {"closed": 0, "half-open": 1, "open": 2}
-
-
-# ----------------------------------------------------------------------
-# The parent-side merge loop
-# ----------------------------------------------------------------------
-def run_parallel_experiment(
-    plan: ExperimentPlan | None = None,
-    *,
-    plan_source: Callable[[], ExperimentPlan] | None = None,
-    workers: int = 2,
-    shard_strategy: str = "interleave",
-    run_dir: str | Path | None = None,
-    resume: bool = False,
-    deadline_s: float | None = None,
-    breaker: BreakerConfig | None = None,
-    catch: tuple[type[Exception], ...] = (ReproError,),
-) -> RunOutcome:
-    """Execute *plan* across *workers* spawned shard processes.
-
-    Accepts the same supervision surface as
-    :func:`~repro.experiments.runner.run_experiment` (checkpointing,
-    resume, soft deadline, circuit breaker) and returns the same
-    :class:`~repro.experiments.runner.RunOutcome`; prefer calling
-    ``run_experiment(..., workers=N)``, which delegates here.
-
-    At least one of *plan* / *plan_source* is required: with only a
-    *plan* it must pickle; with only a *plan_source* the parent builds
-    its own copy by calling it once.  A shard that dies without
-    reporting (or hits a non-contained exception) raises
-    ``RuntimeError`` with the worker traceback, mirroring the serial
-    loop where programming errors propagate; the manifest then stays
-    ``running`` and the run directory remains resumable.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if shard_strategy not in SHARD_STRATEGIES:
-        raise ConfigurationError(
-            f"unknown shard strategy {shard_strategy!r}; "
-            f"choose from {sorted(SHARD_STRATEGIES)}"
-        )
-    if plan is None:
-        if plan_source is None:
-            raise ValueError(
-                "run_parallel_experiment needs a plan or a plan_source"
-            )
-        plan = plan_source()
-    source = _coerce_plan_source(plan, plan_source)
-
-    started = monotonic_clock()
-    journal: CheckpointJournal | None = None
-    manifest: RunManifest | None = None
-    resumed_results: dict[str, Any] = {}
-    resumed_failed: set[str] = set()
-    if run_dir is not None:
-        run_dir = Path(run_dir)
-        manifest, journal, resumed_results, resumed_failed = prepare_checkpoint(
-            plan, run_dir, resume
-        )
-
-    pending = [
-        index
-        for index, spec in enumerate(plan.trials)
-        if spec.key not in resumed_results and spec.key not in resumed_failed
-    ]
-    shards = [
-        shard
-        for shard in SHARD_STRATEGIES[shard_strategy](pending, workers)
-        if shard
-    ]
-
-    watchdog = Watchdog(deadline_s)
-    live_results: dict[str, Any] = {}
-    live_failures: list[tuple[int, str, str]] = []
-    breaker_events: list[dict[str, Any]] = []
-    breaker_state = "closed"
-    breaker_skips = 0
-    stop_skips = 0  # trials shards abandoned after the stop event tripped
-    abort_status: str | None = None
-    abort_error: Exception | None = None
-    crash_trace: str | None = None
-
-    def _finish(status: str, result: Any = None, error: Exception | None = None):
-        merged = _ordered_successes(plan, resumed_results, live_results)
-        # Parity with the serial loop: abandoned-on-stop trials count as
-        # skipped only for a deadline stop (an interrupt or invariant
-        # abort reports just the breaker skips, as serial does).
-        skipped = breaker_skips + (
-            stop_skips if status == STATUS_DEADLINE else 0
-        )
-        outcome = RunOutcome(
-            plan=plan,
-            status=status,
-            result=result,
-            error=error,
-            run_dir=run_dir if run_dir is None else Path(run_dir),
-            manifest=manifest,
-            completed=len(merged),
-            failed=len(live_failures) + len(resumed_failed),
-            resumed=len(resumed_results),
-            skipped=skipped,
-            breaker_events=list(breaker_events),
-            elapsed_s=monotonic_clock() - started,
-        )
-        if manifest is not None:
-            manifest.status = status
-            manifest.completed = outcome.completed
-            manifest.failed = outcome.failed
-            manifest.resumed = outcome.resumed
-            manifest.skipped = outcome.skipped
-            manifest.exit_code = outcome.exit_code
-            manifest.breaker_events = list(breaker_events)
-            manifest.breaker_state = breaker_state
-            manifest.save(run_dir)
-        return outcome
-
-    if shards:
-        # Spawned interpreters must agree on hash() before any of the
-        # plan's own code runs in them.
-        os.environ.setdefault("PYTHONHASHSEED", _PINNED_HASH_SEED)
-        ctx = multiprocessing.get_context("spawn")
-        result_q = ctx.Queue()
-        stop_event = ctx.Event()
-        processes = [
-            ctx.Process(
-                target=_worker_main,
-                args=(worker_id, len(shards), source, shard, plan.hash,
-                      result_q, stop_event, breaker, catch),
-                daemon=True,
-                name=f"{plan.name}-shard{worker_id}",
-            )
-            for worker_id, shard in enumerate(shards)
-        ]
-        for process in processes:
-            process.start()
-
-        done = 0
-
-        def handle(message: tuple) -> None:
-            nonlocal done, abort_status, abort_error, crash_trace
-            nonlocal stop_skips, breaker_skips, breaker_state
-            tag = message[0]
-            if tag == _MSG_TRIAL:
-                (_, _worker, index, key, ok, payload,
-                 error_type, error_text, elapsed_s) = message
-                if plan.trials[index].key != key:
-                    raise ConfigurationError(
-                        f"shard returned key {key!r} for trial index "
-                        f"{index}, parent plan says "
-                        f"{plan.trials[index].key!r} — plan source drift"
-                    )
-                watchdog.note_trial(elapsed_s)
-                if ok:
-                    live_results[key] = payload
-                    if journal is not None:
-                        journal.record_success(
-                            index, key, payload, elapsed_s=elapsed_s
-                        )
-                else:
-                    live_failures.append((index, error_type, error_text))
-                    if journal is not None:
-                        journal.record_failure_info(
-                            index, key, error_type, error_text,
-                            elapsed_s=elapsed_s,
-                        )
-            elif tag == _MSG_INVARIANT:
-                if abort_status != STATUS_INVARIANT:
-                    abort_status = STATUS_INVARIANT
-                    abort_error = _rebuild_violation(message[2], message[3])
-                stop_event.set()
-            elif tag == _MSG_INTERRUPTED:
-                if abort_status is None:
-                    abort_status = STATUS_INTERRUPTED
-                stop_event.set()
-            elif tag == _MSG_CRASHED:
-                if crash_trace is None:
-                    crash_trace = message[2]
-                stop_event.set()
-            elif tag == _MSG_DONE:
-                done += 1
-                summary = message[2]
-                stop_skips += summary["stop_skipped"]
-                breaker_skips += summary["breaker_skipped"]
-                breaker_events.extend(summary["breaker_events"])
-                if (
-                    _BREAKER_SEVERITY.get(summary["breaker_state"], 0)
-                    > _BREAKER_SEVERITY.get(breaker_state, 0)
-                ):
-                    breaker_state = summary["breaker_state"]
-
-        def check_deadline() -> None:
-            nonlocal abort_status
-            if abort_status is None and watchdog.check() == STOP_DEADLINE:
-                abort_status = STATUS_DEADLINE
-                stop_event.set()
-
-        try:
-            # SIGTERM (scheduler kill) behaves like ctrl-C: one
-            # KeyboardInterrupt, then the shielded drain below.
-            with sigterm_as_interrupt():
-                while done < len(processes):
-                    try:
-                        message = result_q.get(timeout=_POLL_S)
-                    except Empty:
-                        check_deadline()
-                        dead = [
-                            p for p in processes
-                            if not p.is_alive() and p.exitcode not in (0, None)
-                        ]
-                        if dead and crash_trace is None:
-                            # A shard died without reporting (OOM-killed,
-                            # or the interpreter itself failed): nothing
-                            # more will arrive from it, so account it as
-                            # crashed and stop the rest.
-                            crash_trace = (
-                                f"shard process(es) "
-                                f"{[p.name for p in dead]} exited without "
-                                "a result (killed?)"
-                            )
-                            stop_event.set()
-                            done += len(dead)
-                        continue
-                    handle(message)
-                    check_deadline()
-        except KeyboardInterrupt:
-            abort_status = STATUS_INTERRUPTED
-            stop_event.set()
-        # From here to the manifest flush nothing may be skipped by a
-        # late ctrl-C / SIGTERM: drain, teardown, and the _finish calls
-        # below run under an interrupt shield (a further interrupt only
-        # cuts the drain short — it can no longer race worker teardown
-        # out of the checkpoint writes that make exit 130 resumable).
-        with interrupt_shield() as latch:
-            try:
-                if abort_status == STATUS_INTERRUPTED and done < len(processes):
-                    # Drain what the workers already finished so the
-                    # journal is as complete as a serial interrupt's,
-                    # then let them exit.
-                    drain_deadline = monotonic_clock() + _DRAIN_S
-                    while (
-                        done < len(processes)
-                        and monotonic_clock() < drain_deadline
-                        and not latch.interrupted
-                    ):
-                        try:
-                            handle(result_q.get(timeout=_POLL_S))
-                        except Empty:
-                            if all(not p.is_alive() for p in processes):
-                                break
-            finally:
-                for process in processes:
-                    process.join(timeout=10.0)
-                for process in processes:
-                    if process.is_alive():
-                        process.terminate()
-                        process.join(timeout=5.0)
-                result_q.close()
-
-            if crash_trace is not None and abort_status is None:
-                # Parity with the serial loop, where a non-contained
-                # exception propagates to the caller as a programming
-                # error (the manifest stays ``running``; the run dir
-                # remains resumable).
-                raise RuntimeError(f"parallel shard crashed:\n{crash_trace}")
-
-            if abort_status is None and latch.interrupted:
-                abort_status = STATUS_INTERRUPTED
-            if abort_status is not None:
-                if abort_status == STATUS_INVARIANT:
-                    return _finish(STATUS_INVARIANT, error=abort_error)
-                if abort_status == STATUS_INTERRUPTED:
-                    return _finish(STATUS_INTERRUPTED)
-                return _finish(STATUS_DEADLINE)
-
-    merged = _ordered_successes(plan, resumed_results, live_results)
-    if len(merged) < plan.min_successes:
-        error = insufficient_error(
-            plan,
-            successes=len(merged),
-            failures=sorted(live_failures),
-            failed_total=len(live_failures) + len(resumed_failed),
-            skipped=breaker_skips,
-        )
-        return _finish(STATUS_INSUFFICIENT, error=error)
-
-    status, result, error = resolve_finalize(plan, merged)
-    return _finish(status, result=result, error=error)

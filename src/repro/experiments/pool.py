@@ -1,10 +1,9 @@
 """Self-healing persistent worker pool for experiment plans.
 
-:mod:`repro.experiments.parallel` (PR-5) proved the sharded executor can
-be *observation equivalent* to the serial loop — but it pays interpreter
-spawn + plan rebuild on every run, which on small hosts makes it slower
-than serial (``BENCH_parallel.json``).  This module keeps the
-equivalence contract and fixes the economics:
+The one multi-process executor behind ``run_experiment(..., workers=N)``.
+It runs a plan's trials in worker processes while staying *observation
+equivalent* to the serial loop, and keeps startup cheap enough to pay
+on small hosts (``BENCH_parallel.json``):
 
 * **Persistent fork-server workers** — one long-lived process per pool
   slot (``forkserver`` start method, ``spawn`` fallback), reused across
@@ -33,8 +32,9 @@ equivalence contract and fixes the economics:
   loop, because it is the serial loop.
 
 Equivalence contract: a pool run's journal, manifest, and finalized
-artifact are byte-identical to a serial run's (same helpers as PR-5:
-journals written in plan-index order; manifests carry the same counts),
+artifact are byte-identical to a serial run's (the serial loop's own
+checkpoint helpers: journals written in plan-index order; manifests
+carry the same counts),
 and ``--resume`` works across worker-count changes *and* across a pool
 restart (the journal is addressed by trial key).  See
 ``docs/parallel.md`` for the supervision state machine and
@@ -78,13 +78,9 @@ from repro.experiments.checkpoint import (
 )
 from repro.experiments.guard import TrialFailure, run_guarded_trials
 from repro.experiments.parallel import (
-    SHARD_STRATEGIES,
-    STOP_PARALLEL,
     WorkerContext,
-    _BREAKER_SEVERITY,
-    _PINNED_HASH_SEED,
     _coerce_plan_source,
-    _rebuild_violation,
+    shard_interleave,
 )
 from repro.experiments.runner import (
     STOP_DEADLINE,
@@ -94,6 +90,7 @@ from repro.experiments.runner import (
     RunOutcome,
     Watchdog,
     _ordered_successes,
+    finish_run,
     insufficient_error,
     monotonic_clock,
     prepare_checkpoint,
@@ -127,6 +124,19 @@ __all__ = [
 
 #: Supervision loop cadence (parent) / command poll cadence (worker).
 _POLL_S = 0.02
+
+#: Hash seed pinned into pool workers (when the parent has none), so
+#: worker processes never diverge on ``hash()``-dependent iteration that
+#: a DET003 gap might let slip through.
+_PINNED_HASH_SEED = "0"
+
+#: Guard ``stop`` reason inside workers when the parent trips the shared
+#: stop event (deadline, invariant elsewhere, interrupt).
+STOP_PARALLEL = "parallel-stop"
+
+#: Circuit-breaker states by severity: a run's manifest reports the worst
+#: state any worker's breaker reached.
+_BREAKER_SEVERITY = {"closed": 0, "half-open": 1, "open": 2}
 
 #: The pseudo worker id the degraded-serial inline path reports to the
 #: pool-state checker (it is "the parent executing trials itself").
@@ -333,6 +343,28 @@ class ShmRing:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
+
+
+def _rebuild_violation(
+    payload: bytes | None, summary: dict[str, Any]
+) -> InvariantViolation:
+    """The worker's violation, unpickled — or reconstructed from its
+    summary fields when the full object cannot cross the process
+    boundary (e.g. an unpicklable snapshot value)."""
+    if payload is not None:
+        try:
+            exc = pickle.loads(payload)
+            if isinstance(exc, InvariantViolation):
+                return exc
+        except (pickle.UnpicklingError, TypeError, AttributeError,
+                EOFError, ImportError):
+            pass
+    return InvariantViolation(
+        message=summary.get("message", ""),
+        invariant=summary.get("invariant", ""),
+        seed=summary.get("seed"),
+        repro=summary.get("repro", ""),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -697,8 +729,8 @@ class WorkerPool:
         self.workers = workers
         self.config = config or PoolConfig()
         self.cost_model = CostModel()
-        # Long-lived interpreters must agree on hash() with any spawn
-        # executor children and with the parent.
+        # Long-lived interpreters must agree on hash() with each other
+        # and with the parent.
         os.environ.setdefault("PYTHONHASHSEED", _PINNED_HASH_SEED)
         try:
             self._ctx = multiprocessing.get_context("forkserver")
@@ -781,7 +813,6 @@ class WorkerPool:
         plan: ExperimentPlan,
         *,
         plan_source: Callable[[], ExperimentPlan] | None = None,
-        shard_strategy: str = "interleave",
         run_dir: str | Path | None = None,
         resume: bool = False,
         deadline_s: float | None = None,
@@ -797,11 +828,6 @@ class WorkerPool:
         """
         if self.closed:
             raise PoolError("worker pool is closed")
-        if shard_strategy not in SHARD_STRATEGIES:
-            raise ConfigurationError(
-                f"unknown shard strategy {shard_strategy!r}; "
-                f"choose from {sorted(SHARD_STRATEGIES)}"
-            )
         source = _coerce_plan_source(plan, plan_source)
         started = monotonic_clock()
         journal: CheckpointJournal | None = None
@@ -843,25 +869,28 @@ class WorkerPool:
         def _finish(
             status: str, result: Any = None, error: Exception | None = None
         ) -> RunOutcome:
-            merged = _ordered_successes(plan, resumed_results, live_results)
             # Serial parity: abandoned-on-stop trials count as skipped
             # only for a deadline stop.
             skipped = breaker_skips + (
                 stop_skips if status == STATUS_DEADLINE else 0
             )
-            outcome = RunOutcome(
-                plan=plan,
-                status=status,
+            return finish_run(
+                plan,
+                status,
                 result=result,
                 error=error,
-                run_dir=run_dir if run_dir is None else Path(run_dir),
+                run_dir=run_dir,
                 manifest=manifest,
-                completed=len(merged),
+                started=started,
+                completed=len(
+                    _ordered_successes(plan, resumed_results, live_results)
+                ),
                 failed=len(live_failures) + len(resumed_failed),
                 resumed=len(resumed_results),
                 skipped=skipped,
-                breaker_events=list(breaker_events),
-                elapsed_s=monotonic_clock() - started,
+                breaker_events=breaker_events,
+                breaker_state=breaker_state,
+                poisoned=ledger.poisoned,
                 pool={
                     "workers": self.workers,
                     "mode": DEGRADED_SERIAL if degrade_reason else "pool",
@@ -872,18 +901,6 @@ class WorkerPool:
                     "events": list(pool_events),
                 },
             )
-            if manifest is not None:
-                manifest.status = status
-                manifest.completed = outcome.completed
-                manifest.failed = outcome.failed
-                manifest.resumed = outcome.resumed
-                manifest.skipped = outcome.skipped
-                manifest.exit_code = outcome.exit_code
-                manifest.breaker_events = list(breaker_events)
-                manifest.breaker_state = breaker_state
-                manifest.poisoned = list(ledger.poisoned)
-                manifest.save(run_dir)
-            return outcome
 
         def _terminal_finish() -> RunOutcome:
             merged = _ordered_successes(plan, resumed_results, live_results)
@@ -1036,9 +1053,7 @@ class WorkerPool:
                 _Shard(shard_id, chunk)
                 for shard_id, chunk in enumerate(
                     chunk
-                    for chunk in SHARD_STRATEGIES[shard_strategy](
-                        pending, shard_count
-                    )
+                    for chunk in shard_interleave(pending, shard_count)
                     if chunk
                 )
             )
@@ -1570,7 +1585,6 @@ def run_pool_experiment(
     *,
     plan_source: Callable[[], ExperimentPlan] | None = None,
     workers: int = 2,
-    shard_strategy: str = "interleave",
     run_dir: str | Path | None = None,
     resume: bool = False,
     deadline_s: float | None = None,
@@ -1581,10 +1595,8 @@ def run_pool_experiment(
 ) -> RunOutcome:
     """Execute *plan* on the process-wide persistent pool.
 
-    The pool-executor twin of
-    :func:`~repro.experiments.parallel.run_parallel_experiment`; prefer
-    ``run_experiment(..., workers=N, executor="auto"|"pool")``, which
-    delegates here.  ``executor="pool"`` forces pooled execution even
+    Prefer ``run_experiment(..., workers=N, executor="auto"|"pool")``,
+    which delegates here.  ``executor="pool"`` forces pooled execution even
     when the cost model would degrade to the inline serial loop.
     """
     if workers < 1:
@@ -1599,7 +1611,6 @@ def run_pool_experiment(
     return pool.run(
         plan,
         plan_source=plan_source,
-        shard_strategy=shard_strategy,
         run_dir=run_dir,
         resume=resume,
         deadline_s=deadline_s,

@@ -405,8 +405,8 @@ def prepare_checkpoint(
 
     Returns ``(manifest, journal, resumed_results, resumed_failed)`` with
     the manifest already stamped ``running`` and saved.  Shared by the
-    serial loop below and the sharded executor in
-    :mod:`repro.experiments.parallel`, so both produce (and validate)
+    serial loop below and the worker pool in
+    :mod:`repro.experiments.pool`, so both produce (and validate)
     identical on-disk state.
     """
     resumed_results: dict[str, Any] = {}
@@ -485,8 +485,8 @@ def insufficient_error(
     """The standard below-floor error, with the first failures inlined.
 
     *failures* entries are ``(index, error_type_name, message)`` — plain
-    values rather than exception objects so the sharded executor can
-    report failures that happened in another process.
+    values rather than exception objects so the worker pool can report
+    failures that happened in another process.
     """
     detail = "; ".join(
         f"trial {index}: {name}: {message}"
@@ -500,6 +500,62 @@ def insufficient_error(
     )
 
 
+def finish_run(
+    plan: ExperimentPlan,
+    status: str,
+    *,
+    result: Any = None,
+    error: Exception | None = None,
+    run_dir: Path | None,
+    manifest: RunManifest | None,
+    started: float,
+    completed: int,
+    failed: int,
+    resumed: int,
+    skipped: int,
+    breaker_events: Sequence[dict[str, Any]],
+    breaker_state: str,
+    poisoned: Sequence[str] | None = None,
+    pool: dict[str, Any] | None = None,
+) -> RunOutcome:
+    """The :class:`RunOutcome` of a run ending with *status*; for a
+    checkpointed run, its counts are also copied into *manifest*, which
+    is saved.
+
+    Shared by the serial loop and the worker pool, so both leave the
+    same manifest.  Only the pool passes *poisoned* (its quarantined
+    trial keys) and *pool* (its telemetry).
+    """
+    outcome = RunOutcome(
+        plan=plan,
+        status=status,
+        result=result,
+        error=error,
+        run_dir=run_dir,
+        manifest=manifest,
+        completed=completed,
+        failed=failed,
+        resumed=resumed,
+        skipped=skipped,
+        breaker_events=list(breaker_events),
+        elapsed_s=monotonic_clock() - started,
+        pool=pool,
+    )
+    if manifest is not None:
+        manifest.status = status
+        manifest.completed = completed
+        manifest.failed = failed
+        manifest.resumed = resumed
+        manifest.skipped = skipped
+        manifest.exit_code = outcome.exit_code
+        manifest.breaker_events = list(breaker_events)
+        manifest.breaker_state = breaker_state
+        if poisoned is not None:
+            manifest.poisoned = list(poisoned)
+        manifest.save(run_dir)
+    return outcome
+
+
 def run_experiment(
     plan: ExperimentPlan,
     run_dir: str | Path | None = None,
@@ -509,7 +565,6 @@ def run_experiment(
     catch: tuple[type[Exception], ...] = (ReproError,),
     fault_injector: Any = None,
     workers: int = 1,
-    shard_strategy: str = "interleave",
     plan_source: Callable[[], "ExperimentPlan"] | None = None,
     executor: str = "auto",
 ) -> RunOutcome:
@@ -520,31 +575,27 @@ def run_experiment(
     continued from a previous segment.  Without it, the run is in-memory
     only — same loop, no persistence.
 
-    With ``workers > 1`` the plan's trials are partitioned across worker
-    processes by *shard_strategy*; *plan_source* must then be a
-    picklable zero-argument plan factory (e.g. a
-    :class:`~repro.experiments.parallel.PlanHandle`) unless the plan
-    itself pickles.  A parallel run is observation-equivalent to this
-    serial loop: same journal, same manifest, same finalized artifact
-    (see ``docs/parallel.md``).
+    With ``workers > 1`` the plan's trials run on the supervised worker
+    pool (:mod:`repro.experiments.pool`), interleaved across its worker
+    processes; *plan_source* must then be a picklable zero-argument plan
+    factory (e.g. a :class:`~repro.experiments.parallel.PlanHandle`)
+    unless the plan itself pickles.  A parallel run is
+    observation-equivalent to this serial loop: same journal, same
+    manifest, same finalized artifact (see ``docs/parallel.md``).
 
-    *executor* picks the multi-process engine:
+    *executor* picks how the pool runs:
 
     ``"auto"``
-        The supervised persistent pool (:mod:`repro.experiments.pool`),
-        which degrades to the serial loop in-process when its cost model
+        Degrade to the serial loop in-process when the pool's cost model
         says parallelism doesn't pay on this host.
     ``"pool"``
-        The persistent pool, unconditionally (no cost-model degrade).
-    ``"spawn"``
-        The one-shot spawn-per-run executor
-        (:mod:`repro.experiments.parallel`).
+        Run on the pool unconditionally (no cost-model degrade).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if executor not in ("auto", "pool", "spawn"):
+    if executor not in ("auto", "pool"):
         raise ValueError(
-            f"executor must be 'auto', 'pool' or 'spawn', got {executor!r}"
+            f"executor must be 'auto' or 'pool', got {executor!r}"
         )
     if workers > 1:
         if fault_injector is not None:
@@ -553,27 +604,12 @@ def run_experiment(
                 "plan.fault_plan; passing a shared fault_injector across "
                 "processes is not supported"
             )
-        if executor == "spawn":
-            from repro.experiments.parallel import run_parallel_experiment
-
-            return run_parallel_experiment(
-                plan,
-                plan_source=plan_source,
-                workers=workers,
-                shard_strategy=shard_strategy,
-                run_dir=run_dir,
-                resume=resume,
-                deadline_s=deadline_s,
-                breaker=breaker,
-                catch=catch,
-            )
         from repro.experiments.pool import run_pool_experiment
 
         return run_pool_experiment(
             plan,
             plan_source=plan_source,
             workers=workers,
-            shard_strategy=shard_strategy,
             run_dir=run_dir,
             resume=resume,
             deadline_s=deadline_s,
@@ -624,32 +660,23 @@ def run_experiment(
                 )
 
     def _finish(status: str, result: Any = None, error: Exception | None = None):
-        merged = _ordered_successes(plan, resumed_results, live_results)
-        outcome = RunOutcome(
-            plan=plan,
-            status=status,
+        return finish_run(
+            plan,
+            status,
             result=result,
             error=error,
-            run_dir=run_dir if run_dir is None else Path(run_dir),
+            run_dir=run_dir,
             manifest=manifest,
-            completed=len(merged),
+            started=started,
+            completed=len(
+                _ordered_successes(plan, resumed_results, live_results)
+            ),
             failed=len(live_failures) + len(resumed_failed),
             resumed=len(resumed_results),
             skipped=circuit.skipped + _deadline_skips,
-            breaker_events=list(circuit.events),
-            elapsed_s=monotonic_clock() - started,
+            breaker_events=circuit.events,
+            breaker_state=circuit.state.value,
         )
-        if manifest is not None:
-            manifest.status = status
-            manifest.completed = outcome.completed
-            manifest.failed = outcome.failed
-            manifest.resumed = outcome.resumed
-            manifest.skipped = outcome.skipped
-            manifest.exit_code = outcome.exit_code
-            manifest.breaker_events = list(circuit.events)
-            manifest.breaker_state = circuit.state.value
-            manifest.save(run_dir)
-        return outcome
 
     _deadline_skips = 0
     try:

@@ -239,7 +239,6 @@ def collect_website_dataset(
     seed: int = 1000,
     environment: Environment = Environment.LOCAL,
     workers: int = 1,
-    shard_strategy: str = "interleave",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Traces and labels for a list of sites.
 
@@ -280,10 +279,7 @@ def collect_website_dataset(
                 "environment": environment.value,
             },
         )
-    return execute_plan(
-        plan, workers=workers, shard_strategy=shard_strategy,
-        plan_source=plan_source,
-    )
+    return execute_plan(plan, workers=workers, plan_source=plan_source)
 
 
 def dataset_from_run_dir(

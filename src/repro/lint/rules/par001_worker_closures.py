@@ -1,7 +1,7 @@
 """PAR001 — trial closures capturing cross-trial mutable state.
 
-The sharded executor (:mod:`repro.experiments.parallel`) runs a plan's
-trials in separate processes, in shard order rather than plan order.
+The worker pool (:mod:`repro.experiments.pool`) runs a plan's trials
+in separate processes, in shard order rather than plan order.
 That is only observation-equivalent to a serial run if every
 ``TrialSpec.fn`` is self-contained: a closure that reads a loop variable
 or a mutated accumulator from the enclosing ``trial_plan`` scope either

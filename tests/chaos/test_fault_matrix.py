@@ -362,9 +362,9 @@ class TestChaosSoakComposition:
         monitor.check_all()
 
 # ----------------------------------------------------------------------
-# The matrix under the sharded executor
+# The matrix on the worker pool
 # ----------------------------------------------------------------------
-# These trial functions are module-level so spawn workers can rebuild the
+# These trial functions are module-level so pool workers can rebuild the
 # plan (the factory pickles by reference).  Inside a worker the injector
 # comes from the per-process ``current_fault_injector()``, built from the
 # plan's ``fault_plan`` — the audit therefore stays inside the shard that
@@ -376,7 +376,7 @@ def _parallel_device_trial() -> dict:
     from repro.experiments.parallel import current_fault_injector
 
     injector = current_fault_injector()
-    assert injector is not None, "must run under the sharded executor"
+    assert injector is not None, "must run in a pool worker"
     host, monitor = _monitored_host()
     injector.attach_device(host.device)
     proc = host.new_process()
@@ -410,7 +410,7 @@ def _parallel_prs_trial() -> dict:
     from repro.experiments.parallel import current_fault_injector
 
     injector = current_fault_injector()
-    assert injector is not None, "must run under the sharded executor"
+    assert injector is not None, "must run in a pool worker"
     host, monitor = _monitored_host()
     injector.attach_device(host.device)
     host.device.prs.set_handler(lambda pasid, va, write: True)
@@ -437,7 +437,7 @@ def _parallel_preemption_trial() -> dict:
     from repro.experiments.parallel import current_fault_injector
 
     injector = current_fault_injector()
-    assert injector is not None, "must run under the sharded executor"
+    assert injector is not None, "must run in a pool worker"
     clock = TscClock()
     timeline = Timeline(clock)
     injector.attach_timeline(timeline)
@@ -511,7 +511,7 @@ def _absorbing_plan() -> ExperimentPlan:
 @pytest.mark.parallel
 class TestParallelFaultMatrix:
     """The handled-or-detected contract holds across the process
-    boundary: every site fired inside a 2-worker sharded run either
+    boundary: every site fired inside a 2-worker pool run either
     surfaces as a typed journaled outcome or fails its trial — never a
     green trial over an unacknowledged ledger."""
 
@@ -531,7 +531,7 @@ class TestParallelFaultMatrix:
             _parallel_matrix_plan(site.value),
             run_dir=tmp_path,
             workers=2,
-            executor="spawn",
+            executor="pool",
             plan_source=functools.partial(_parallel_matrix_plan, site.value),
         )
         journal = CheckpointJournal.load(tmp_path)
@@ -559,7 +559,7 @@ class TestParallelFaultMatrix:
             _absorbing_plan(),
             run_dir=tmp_path,
             workers=2,
-            executor="spawn",
+            executor="pool",
             plan_source=_absorbing_plan,
         )
         assert outcome.failed == 1

@@ -8,8 +8,8 @@ Also here (all marked ``pool``, run via ``scripts/run_pool_smoke.sh``):
 
 * external ``kill -9`` of a worker mid-shard (fig09 and table3), healed
   byte-identically;
-* the SIGTERM drain contract of both multi-process parents: a SIGTERM
-  mid-run exits 130 with the manifest flushed and resumable.
+* the SIGTERM drain contract of the pool's parent: a SIGTERM mid-run
+  exits 130 with the manifest flushed and resumable.
 """
 
 import functools
@@ -228,7 +228,7 @@ def _run_cli_until_sigterm(tmp_path, executor: str) -> tuple[int, Path]:
 
 
 class TestSigtermDrain:
-    @pytest.mark.parametrize("executor", ["spawn", "pool"])
+    @pytest.mark.parametrize("executor", ["pool"])
     def test_sigterm_mid_run_flushes_checkpoint_and_exits_130(
         self, executor, tmp_path
     ):

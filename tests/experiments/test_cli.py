@@ -27,6 +27,16 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--workers", "2", "--executor", "spawn"], ["--shard", "interleave"]],
+        ids=["executor-spawn", "shard"],
+    )
+    def test_removed_flags_are_usage_errors(self, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig09", *flags])
+        assert exc.value.code == 2
+
     def test_run_one_fast_experiment(self, capsys):
         assert main(["re"]) == 0
         out = capsys.readouterr().out

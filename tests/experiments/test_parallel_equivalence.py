@@ -1,11 +1,14 @@
-"""Serial ≡ sharded equivalence: a plan run with ``workers=N`` must leave
-the same observable artifact as the serial loop — same finalized result
-bytes, same journal entries and payload pickles, same manifest counts.
+"""Serial ≡ parallel equivalence: a plan run with ``workers=N`` on the
+worker pool must leave the same observable artifact as the serial loop —
+same finalized result bytes, same journal entries and payload pickles,
+same manifest counts.  Every case forces ``executor="pool"`` so the run
+is multi-process even where the cost model would degrade it to serial.
 
-The fig09 cases (3 trials) run in tier-1, including a kill-at-trial-k
-plus resume-with-a-different-worker-count round trip.  The wider sweeps
-(4 workers, table3, fig11 with dataset checksums) are marked
-``parallel`` (run via ``scripts/run_parallel_smoke.sh`` or
+The fig09 kill-at-trial-k plus resume-with-fewer-workers round trip
+runs in tier-1 (the 2-worker match and the resume onto more workers
+after a pool restart are in ``test_pool_equivalence``).  The wider
+sweeps (4 workers, table3, fig11 with dataset checksums) are marked
+``parallel`` (run via ``scripts/run_pool_smoke.sh`` or
 ``pytest -m parallel``).
 
 Comparison notes: manifest ``segments`` carry pids and wall-clock
@@ -31,6 +34,7 @@ from repro.experiments.checkpoint import (
     STATUS_INTERRUPTED,
     RunManifest,
 )
+from repro.experiments.pool import shutdown_pools
 from repro.experiments.runner import ExperimentPlan, TrialSpec, run_experiment
 from repro.experiments.wf_common import WfSamplerSettings, dataset_from_run_dir
 
@@ -62,6 +66,14 @@ FIG11_CONFIG = {
 }
 
 
+@pytest.fixture(autouse=True)
+def _fresh_pools():
+    """Each test gets (and leaves behind) a clean pool registry."""
+    shutdown_pools()
+    yield
+    shutdown_pools()
+
+
 def _fig09_plan() -> ExperimentPlan:
     return fig09_covert.trial_plan(**FIG09_CONFIG)
 
@@ -72,7 +84,7 @@ def _boom() -> None:
 
 def _interrupted_fig09_plan(k: int) -> ExperimentPlan:
     """The fig09 plan with trial *k* dying mid-run.  Module-level (and
-    built via :func:`functools.partial`) so it pickles into spawn
+    built via :func:`functools.partial`) so it pickles into pool
     workers as the plan source of the killed parallel run."""
     plan = _fig09_plan()
     return ExperimentPlan(
@@ -134,24 +146,20 @@ def _dumps(obj) -> bytes:
     return pickle.dumps(obj, protocol=4)
 
 
-def _assert_parallel_matches_serial(
-    plan_factory, plan_source, tmp_path, workers, shard="interleave"
-):
+def _assert_parallel_matches_serial(plan_factory, plan_source, tmp_path, workers):
     serial_dir = tmp_path / "serial"
-    parallel_dir = tmp_path / f"w{workers}-{shard}"
+    parallel_dir = tmp_path / f"w{workers}"
     serial = run_experiment(plan_factory(), run_dir=serial_dir)
     parallel = run_experiment(
         plan_factory(),
         run_dir=parallel_dir,
         workers=workers,
-        shard_strategy=shard,
-        # This suite documents the one-shot spawn executor; the pool
-        # executor has its own suite (test_pool_equivalence.py).
-        executor="spawn",
+        executor="pool",
         plan_source=plan_source,
     )
     assert serial.status == STATUS_COMPLETED
     assert parallel.status == STATUS_COMPLETED
+    assert parallel.pool["mode"] == "pool"
     assert parallel.completed == serial.completed
     assert parallel.failed == serial.failed
     assert _dumps(parallel.result) == _dumps(serial.result)
@@ -160,25 +168,8 @@ def _assert_parallel_matches_serial(
 
 
 class TestFig09Parallel:
-    def test_two_workers_match_serial_byte_for_byte(self, tmp_path):
-        _assert_parallel_matches_serial(
-            _fig09_plan,
-            fig09_covert.plan_source(**FIG09_CONFIG),
-            tmp_path,
-            workers=2,
-        )
-
-    def test_contiguous_sharding_matches_serial(self, tmp_path):
-        _assert_parallel_matches_serial(
-            _fig09_plan,
-            fig09_covert.plan_source(**FIG09_CONFIG),
-            tmp_path,
-            workers=2,
-            shard="contiguous",
-        )
-
     def test_kill_and_resume_across_worker_counts(self, tmp_path):
-        """Kill a 2-worker run at trial 1, resume it with 3 workers, and
+        """Kill a 3-worker run at trial 1, resume it with 2 workers, and
         compare against an uninterrupted serial run."""
         serial_dir = tmp_path / "serial"
         reference = run_experiment(_fig09_plan(), run_dir=serial_dir)
@@ -187,8 +178,8 @@ class TestFig09Parallel:
         interrupted = run_experiment(
             _interrupted_fig09_plan(1),
             run_dir=run_dir,
-            workers=2,
-            executor="spawn",
+            workers=3,
+            executor="pool",
             plan_source=functools.partial(_interrupted_fig09_plan, 1),
         )
         assert interrupted.status == STATUS_INTERRUPTED
@@ -198,8 +189,8 @@ class TestFig09Parallel:
             _fig09_plan(),
             run_dir=run_dir,
             resume=True,
-            workers=3,
-            executor="spawn",
+            workers=2,
+            executor="pool",
             plan_source=fig09_covert.plan_source(**FIG09_CONFIG),
         )
         assert resumed.status == STATUS_COMPLETED

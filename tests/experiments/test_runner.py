@@ -75,6 +75,14 @@ class TestPlan:
 
 
 class TestInMemoryRuns:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("executor", ["spawn", "threads"])
+    def test_unknown_executor_rejected(self, executor, workers):
+        with pytest.raises(ValueError, match="executor"):
+            run_experiment(
+                _plan({"a": lambda: 1}), workers=workers, executor=executor
+            )
+
     def test_execute_plan_returns_finalized_result(self):
         result = execute_plan(_plan({"a": lambda: 1, "b": lambda: 2}))
         assert result == {"a": 1, "b": 2}

@@ -1,10 +1,10 @@
-"""Property tests for the shard partition functions and dataset merging.
+"""Property tests for the shard partition and dataset merging.
 
-The parallel executor's equivalence guarantee rests on two algebraic
-facts checked here with hypothesis:
+The worker pool's equivalence guarantee rests on two algebraic facts
+checked here with hypothesis:
 
-* a shard strategy is a *partition* — every pending index lands in
-  exactly one shard, no index is dropped, duplicated, or reordered
+* the interleave partition is a *partition* — every pending index lands
+  in exactly one shard, no index is dropped, duplicated, or reordered
   within its shard, and exactly ``workers`` shards come back;
 * :meth:`TraceDataset.merge_many` never drops, duplicates, or reorders
   rows, is associative over grouping, and therefore yields a stable
@@ -17,11 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.datasets import TraceDataset, _content_sha256
-from repro.experiments.parallel import (
-    SHARD_STRATEGIES,
-    shard_contiguous,
-    shard_interleave,
-)
+from repro.experiments.parallel import shard_interleave
 
 indices_strategy = st.lists(
     st.integers(min_value=0, max_value=10_000), max_size=200, unique=True
@@ -29,33 +25,33 @@ indices_strategy = st.lists(
 workers_strategy = st.integers(min_value=1, max_value=12)
 
 
-@pytest.mark.parametrize("strategy", sorted(SHARD_STRATEGIES))
+# The ``interleave`` id keeps these tests' ids stable.
+@pytest.mark.parametrize("partition", [shard_interleave], ids=["interleave"])
 class TestShardPartition:
     @given(indices=indices_strategy, workers=workers_strategy)
     @settings(max_examples=200, deadline=None)
-    def test_is_a_partition(self, strategy, indices, workers):
-        shards = SHARD_STRATEGIES[strategy](indices, workers)
+    def test_is_a_partition(self, partition, indices, workers):
+        shards = partition(indices, workers)
         assert len(shards) == workers
         flat = [index for shard in shards for index in shard]
         assert sorted(flat) == indices, "dropped or duplicated indices"
 
     @given(indices=indices_strategy, workers=workers_strategy)
     @settings(max_examples=200, deadline=None)
-    def test_per_shard_order_preserved(self, strategy, indices, workers):
-        for shard in SHARD_STRATEGIES[strategy](indices, workers):
+    def test_per_shard_order_preserved(self, partition, indices, workers):
+        for shard in partition(indices, workers):
             assert shard == sorted(shard)
             positions = [indices.index(i) for i in shard]
             assert positions == sorted(positions)
 
     @given(indices=indices_strategy, workers=workers_strategy)
     @settings(max_examples=50, deadline=None)
-    def test_deterministic(self, strategy, indices, workers):
-        partition = SHARD_STRATEGIES[strategy]
+    def test_deterministic(self, partition, indices, workers):
         assert partition(indices, workers) == partition(indices, workers)
 
-    def test_rejects_zero_workers(self, strategy):
+    def test_rejects_zero_workers(self, partition):
         with pytest.raises(ValueError):
-            SHARD_STRATEGIES[strategy]([0, 1, 2], 0)
+            partition([0, 1, 2], 0)
 
 
 class TestShardShapes:
@@ -65,17 +61,6 @@ class TestShardShapes:
         shards = shard_interleave(indices, workers)
         for worker, shard in enumerate(shards):
             assert shard == list(indices[worker::workers])
-
-    @given(indices=indices_strategy, workers=workers_strategy)
-    @settings(max_examples=100, deadline=None)
-    def test_contiguous_blocks_balanced(self, indices, workers):
-        shards = shard_contiguous(indices, workers)
-        sizes = [len(shard) for shard in shards]
-        assert max(sizes) - min(sizes) <= 1
-        assert sorted(sizes, reverse=True) == sizes, (
-            "remainder must go to the earliest shards"
-        )
-        assert [i for shard in shards for i in shard] == indices
 
 
 # ----------------------------------------------------------------------

@@ -149,6 +149,27 @@ def test_reachability_attributes_functions_to_entries(tmp_path):
     assert all(entry == "fix.mod.entry" for entry in reached.values())
 
 
+def test_worker_entry_points_resolve_in_the_project_call_graph():
+    """A PAR101 entry point that names no function silently checks
+    nothing, so every one must exist in the project's own call graph."""
+    from repro.lint.rules.par101_worker_globals import WORKER_ENTRY_POINTS
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    summaries = [
+        summarize(
+            FileContext.parse(
+                path, path.as_posix(), LintEngine.module_name(path)
+            )
+        )
+        for path in sorted((src / "repro").rglob("*.py"))
+    ]
+    analysis = analyze(summaries)
+    missing = [
+        name for name in WORKER_ENTRY_POINTS if name not in analysis.functions
+    ]
+    assert not missing, f"PAR101 entry points name no function: {missing}"
+
+
 # ----------------------------------------------------------------------
 # Taint propagation
 # ----------------------------------------------------------------------
