@@ -268,10 +268,10 @@ class PoolError(ReproError):
 
 
 class PoolProtocolError(PoolError):
-    """The checksummed shared-memory result stream was corrupted.
+    """The checksummed worker→parent result stream was corrupted.
 
     Every worker→parent record travels as a framed, CRC32-checksummed
-    blob over a shared-memory ring.  A frame whose magic or checksum
+    blob over the worker's pipe.  A frame whose magic or checksum
     does not verify (torn write, hostile corruption, garbage from a
     dying worker) raises this on the parent side, which treats the
     worker as failed and requeues its unacknowledged trials — corruption

@@ -10,20 +10,23 @@ on small hosts (``BENCH_parallel.json``):
   runs.  A worker rebuilds ``plan_source(...)`` once per distinct plan
   fingerprint and caches it, so repeated runs of the same experiment pay
   near-zero startup.
-* **Checksummed shared-memory results** — workers stream results over a
-  per-worker :class:`ShmRing` (a single-producer single-consumer byte
-  ring in ``multiprocessing.shared_memory``) as CRC32-framed pickles
-  instead of pickled queue messages; a frame that fails its checksum is
-  a detected failure (:class:`~repro.errors.PoolProtocolError`), never
-  silently parsed.
-* **Supervision** — each worker stamps a :class:`~repro.experiments.
-  supervisor.HeartbeatBoard` slot between trials.  The parent turns a
-  stale worker ``suspect``, SIGKILLs it past the hang deadline
-  (``max(floor, factor × longest trial)`` — the PR-2 watchdog discipline
-  applied to liveness), respawns crashed workers under capped
-  exponential backoff, and requeues their unacknowledged trials.  A
-  trial that repeatedly takes workers down is quarantined to the
-  manifest's ``poisoned`` list (exit code 8) instead of wedging the run.
+* **One channel per worker** — the command ``Pipe`` a worker already
+  has is a bidirectional socketpair; commands go parent→worker as
+  pickles, and everything the worker says (results, heartbeats, crash
+  reports) comes back as CRC32-framed pickles written raw into the
+  worker→parent direction.  The parent reads only what ``poll`` says
+  is there, so it never blocks on a worker, even one frozen
+  mid-message; a frame that fails its checksum is a detected failure
+  (:class:`~repro.errors.PoolProtocolError`), never silently parsed.
+* **Supervision** — each worker sends a heartbeat frame as it starts a
+  trial, and the trial's result frame ends it.  Any frame counts as
+  progress.  The parent turns a silent busy worker ``suspect``,
+  SIGKILLs it past the hang deadline (``max(floor, factor × longest
+  trial)`` — the PR-2 watchdog discipline applied to liveness),
+  respawns crashed workers under capped exponential backoff, and
+  requeues their unacknowledged trials.  A trial that repeatedly takes
+  workers down is quarantined to the manifest's ``poisoned`` list
+  (exit code 8) instead of wedging the run.
 * **Graceful degradation** — when the measured
   :class:`~repro.experiments.supervisor.CostModel` says parallelism
   cannot pay (one effective CPU, tiny batch, overhead-dominated trials)
@@ -46,7 +49,6 @@ from __future__ import annotations
 
 import atexit
 import collections
-import contextlib
 import hashlib
 import multiprocessing
 import os
@@ -99,13 +101,10 @@ from repro.experiments.runner import (
 from repro.experiments.supervisor import (
     DEGRADED_SERIAL,
     CostModel,
-    HeartbeatBoard,
     PoisonLedger,
     PoolConfig,
     RespawnBackoff,
     WorkerState,
-    _open_shared_memory,
-    _retrack,
     interrupt_shield,
     sigterm_as_interrupt,
 )
@@ -115,14 +114,13 @@ from repro.invariants.pool import PoolStateChecker
 
 __all__ = [
     "FrameAssembler",
-    "ShmRing",
     "WorkerPool",
     "get_pool",
     "run_pool_experiment",
     "shutdown_pools",
 ]
 
-#: Supervision loop cadence (parent) / command poll cadence (worker).
+#: Supervision loop cadence of the parent.
 _POLL_S = 0.02
 
 #: Hash seed pinned into pool workers (when the parent has none), so
@@ -142,7 +140,8 @@ _BREAKER_SEVERITY = {"closed": 0, "half-open": 1, "open": 2}
 #: pool-state checker (it is "the parent executing trials itself").
 _INLINE_WORKER = -1
 
-# Worker -> parent message tags (framed pickles on the result ring).
+# Worker -> parent message tags (framed pickles on the worker's pipe).
+_MSG_BEAT = "pool-beat"
 _MSG_TRIAL = "pool-trial"
 _MSG_RUN_READY = "pool-run-ready"
 _MSG_RUN_ERROR = "pool-run-error"
@@ -153,20 +152,19 @@ _MSG_CRASHED = "pool-crashed"
 
 
 # ----------------------------------------------------------------------
-# The checksummed shared-memory result stream
+# The checksummed worker -> parent stream
 # ----------------------------------------------------------------------
 _FRAME_HEADER = struct.Struct("<4sII")  # magic, payload length, crc32
 _FRAME_MAGIC = b"DSP7"
 #: Sanity cap on a single frame so a corrupt length field cannot make
 #: the parent wait forever for bytes that will never arrive.
 _FRAME_LIMIT = 64 << 20
-
-_RING_HEADER = 16  # two u64 absolute counters: head (writer), tail (reader)
-_U64 = struct.Struct("<Q")
+#: Bytes the parent reads from a worker's pipe per ``os.read``.
+_READ_BYTES = 1 << 16
 
 
 def _encode_frame(payload: bytes, corrupt: bool = False) -> bytes:
-    """Frame *payload* for the ring; *corrupt* flips the checksum (the
+    """Frame *payload* for the pipe; *corrupt* flips the checksum (the
     ``POOL_RESULT_CORRUPT`` chaos effect — detectable, never parseable)."""
     crc = zlib.crc32(payload) & 0xFFFFFFFF
     if corrupt:
@@ -175,7 +173,7 @@ def _encode_frame(payload: bytes, corrupt: bool = False) -> bytes:
 
 
 class FrameAssembler:
-    """Reassembles framed records from a ring's raw byte chunks.
+    """Reassembles framed records from a pipe's raw byte chunks.
 
     Raises :class:`~repro.errors.PoolProtocolError` on a bad magic,
     oversized length, or checksum mismatch — the parent treats the whole
@@ -209,140 +207,6 @@ class FrameAssembler:
             del self._buffer[:end]
             frames.append(payload)
         return frames
-
-
-class ShmRing:
-    """Single-producer single-consumer byte ring in shared memory.
-
-    Layout: a 16-byte header (absolute ``head`` and ``tail`` u64
-    counters, guarded by *lock* against torn 8-byte accesses) followed
-    by ``capacity`` data bytes.  The writer blocks in small sleeps when
-    the ring is full — records larger than the free space (or even the
-    whole capacity) stream through in chunks — and can bail out via
-    *should_abort* if the reader vanishes.  The creating side owns (and
-    unlinks) the segment; attachers never do (see
-    :func:`~repro.experiments.supervisor._open_shared_memory`).
-    """
-
-    def __init__(
-        self,
-        shm: Any,
-        lock: Any,
-        capacity: int,
-        owner: bool,
-    ) -> None:
-        self._shm = shm
-        self.lock = lock
-        self.capacity = capacity
-        self._owner = owner
-        self._closed = False
-
-    @classmethod
-    def create(cls, lock: Any, capacity: int) -> "ShmRing":
-        """Parent-side: allocate a fresh ring segment."""
-        shm = _open_shared_memory(None, create=True, size=_RING_HEADER + capacity)
-        shm.buf[:_RING_HEADER] = b"\x00" * _RING_HEADER
-        return cls(shm, lock, capacity, owner=True)
-
-    @classmethod
-    def attach(cls, name: str, lock: Any, capacity: int) -> "ShmRing":
-        """Worker-side: attach to the parent's segment by name."""
-        return cls(
-            _open_shared_memory(name, create=False), lock, capacity, owner=False
-        )
-
-    @property
-    def name(self) -> str:
-        """Segment name a worker attaches to."""
-        return self._shm.name
-
-    def _counters(self) -> tuple[int, int]:
-        with self.lock:
-            head = _U64.unpack_from(self._shm.buf, 0)[0]
-            tail = _U64.unpack_from(self._shm.buf, 8)[0]
-        return head, tail
-
-    def write(
-        self, data: bytes, should_abort: Callable[[], bool] | None = None
-    ) -> None:
-        """Append *data*, blocking (in chunks) while the ring is full."""
-        if self._closed:
-            raise PoolProtocolError("write on a closed ring")
-        view = memoryview(data)
-        offset = 0
-        waits = 0
-        while offset < len(view):
-            head, tail = self._counters()
-            free = self.capacity - (head - tail)
-            if free <= 0:
-                time.sleep(0.001)
-                waits += 1
-                if (
-                    should_abort is not None
-                    and waits % 100 == 0
-                    and should_abort()
-                ):
-                    raise PoolProtocolError(
-                        "ring reader vanished while the writer was blocked"
-                    )
-                continue
-            chunk = min(free, len(view) - offset)
-            pos = head % self.capacity
-            first = min(chunk, self.capacity - pos)
-            base = _RING_HEADER
-            self._shm.buf[base + pos:base + pos + first] = view[
-                offset:offset + first
-            ]
-            if chunk > first:
-                self._shm.buf[base:base + chunk - first] = view[
-                    offset + first:offset + chunk
-                ]
-            with self.lock:
-                _U64.pack_into(self._shm.buf, 0, head + chunk)
-            offset += chunk
-
-    def read(self, max_bytes: int = 1 << 16) -> bytes:
-        """Up to *max_bytes* of pending stream, ``b""`` when empty."""
-        if self._closed:
-            raise PoolProtocolError("read on a closed ring")
-        head, tail = self._counters()
-        available = head - tail
-        if available > self.capacity or available < 0:
-            raise PoolProtocolError(
-                f"ring header corrupt: head={head} tail={tail} "
-                f"capacity={self.capacity}"
-            )
-        if available == 0:
-            return b""
-        chunk = min(available, max_bytes)
-        pos = tail % self.capacity
-        first = min(chunk, self.capacity - pos)
-        base = _RING_HEADER
-        data = bytes(self._shm.buf[base + pos:base + pos + first])
-        if chunk > first:
-            data += bytes(self._shm.buf[base:base + chunk - first])
-        with self.lock:
-            _U64.pack_into(self._shm.buf, 8, tail + chunk)
-        return data
-
-    def close(self) -> None:
-        """Release the mapping; the owner also unlinks the segment."""
-        if self._closed:
-            return
-        self._closed = True
-        self._shm.close()
-        if self._owner:
-            _retrack(self._shm)
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:
-                pass
-
-    def __enter__(self) -> "ShmRing":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
 
 def _rebuild_violation(
@@ -459,7 +323,6 @@ def _worker_run_shard(
     command: tuple,
     run: "_WorkerRun | None",
     worker_id: int,
-    board: HeartbeatBoard,
     stop_event: Any,
     config: PoolConfig,
     send: Callable[..., None],
@@ -528,7 +391,7 @@ def _worker_run_shard(
 
     def skip_trial(local: int) -> str | None:
         index = indices[local]
-        board.beat(worker_id, trial=index, shard=shard_id)
+        send((_MSG_BEAT, worker_id, run_id, shard_id, index))
         return run.circuit.gate(index)
 
     def on_trial_end(
@@ -547,9 +410,9 @@ def _worker_run_shard(
                 _MSG_TRIAL, worker_id, run_id, index, key, False, None,
                 type(failure.error).__name__, str(failure.error), elapsed_s,
             )
+        # The result frame is also the beat that ends the trial.
         send(message, corrupt=index in pending_corrupt)
         pending_corrupt.discard(index)
-        board.beat(worker_id, trial=-1, shard=shard_id)
 
     try:
         guarded = run_guarded_trials(
@@ -592,53 +455,34 @@ def _pool_worker_main(
     worker_id: int,
     workers: int,
     conn: Any,
-    ring_name: str,
-    ring_lock: Any,
-    ring_capacity: int,
-    board_name: str,
-    board_slots: int,
     stop_event: Any,
     config: PoolConfig,
 ) -> None:
     """The persistent worker: a command loop that outlives runs.
 
     Commands arrive on *conn* (``run`` / ``shard`` / ``exit``); every
-    reply streams back over the shared-memory ring.  The worker beats
-    its heartbeat slot when idle and between trials, exits when the
-    parent disappears, and reports any non-contained exception as a
-    crash before dying — the parent never waits on a silent worker.
+    reply goes back over the same socketpair as raw CRC32 frames.  The
+    worker beats only while it runs a shard, exits when the parent
+    disappears (EOF on *conn*, or ``BrokenPipeError`` on a write), and
+    reports any non-contained exception as a crash before dying — the
+    parent never waits on a silent worker.
     """
-    parent_pid = os.getppid()
+    fd = conn.fileno()
 
-    def parent_gone() -> bool:
-        return os.getppid() != parent_pid
-
-    with contextlib.ExitStack() as stack:
-        ring = stack.enter_context(
-            ShmRing.attach(ring_name, ring_lock, ring_capacity)
+    def send(message: tuple, corrupt: bool = False) -> None:
+        frame = memoryview(
+            _encode_frame(pickle.dumps(message, protocol=4), corrupt=corrupt)
         )
-        board = stack.enter_context(
-            HeartbeatBoard.attach(board_name, board_slots)
-        )
-        stack.callback(conn.close)
+        while frame:
+            frame = frame[os.write(fd, frame):]
 
-        def send(message: tuple, corrupt: bool = False) -> None:
-            blob = pickle.dumps(message, protocol=4)
-            ring.write(
-                _encode_frame(blob, corrupt=corrupt), should_abort=parent_gone
-            )
-
-        plans: dict[str, ExperimentPlan] = {}
-        run: _WorkerRun | None = None
+    plans: dict[str, ExperimentPlan] = {}
+    run: _WorkerRun | None = None
+    try:
         while True:
             try:
-                board.beat(worker_id)
-                if parent_gone():
-                    return
-                if not conn.poll(0.05):
-                    continue
                 try:
-                    command = conn.recv()
+                    command = conn.recv()  # idle workers just wait
                 except (EOFError, OSError):
                     return
                 verb = command[0]
@@ -650,8 +494,7 @@ def _pool_worker_main(
                     )
                 elif verb == "shard":
                     _worker_run_shard(
-                        command, run, worker_id, board, stop_event, config,
-                        send,
+                        command, run, worker_id, stop_event, config, send
                     )
             except KeyboardInterrupt:
                 # Terminal SIGINT reaches the whole process group; report
@@ -663,13 +506,17 @@ def _pool_worker_main(
                     return
             # Last line of defense: ANY other escape must reach the
             # parent as a crash report, or supervision would wait on a
-            # silent worker until the hang deadline.
+            # silent worker until the hang deadline.  A BrokenPipeError
+            # (the parent is gone) lands here too; the report then
+            # fails as well, and the worker exits.
             except BaseException:  # repro-lint: ignore[EXC001]
                 try:
                     send((_MSG_CRASHED, worker_id, traceback.format_exc()))
                 except BaseException:  # repro-lint: ignore[EXC001]
                     pass
                 return
+    finally:
+        conn.close()
 
 
 # ----------------------------------------------------------------------
@@ -697,19 +544,33 @@ class _Member:
         self.backoff = backoff
         self.process: Any = None
         self.conn: Any = None
-        self.ring: ShmRing | None = None
         self.assembler: FrameAssembler | None = None
         self.state: WorkerState | None = None
         self.run_ready = False
         self.shard: _Shard | None = None
         self.spawn_started = 0.0
         self.respawn_due = 0.0
-        self.last_counter = -1
         self.last_progress = 0.0
+        #: ``(shard_id, trial)`` named by the worker's last beat frame.
+        self.last_beat: tuple[int, int] | None = None
 
     @property
     def alive(self) -> bool:
         return self.process is not None and self.process.is_alive()
+
+    def read(self) -> bytes:
+        """Whatever the worker has written so far, ``b""`` when nothing
+        is waiting; never blocks.  Raises :class:`EOFError` once the
+        worker's end of the pipe is closed (the worker died)."""
+        if not self.conn.poll(0):
+            return b""
+        try:
+            data = os.read(self.conn.fileno(), _READ_BYTES)
+        except ConnectionError as exc:  # died with commands unread
+            raise EOFError(str(exc)) from exc
+        if not data:
+            raise EOFError("worker closed its pipe")
+        return data
 
 
 class WorkerPool:
@@ -719,8 +580,7 @@ class WorkerPool:
     :meth:`run` repeatedly — workers, their interpreters, and their
     rebuilt plans survive across runs.  :meth:`close` (idempotent, also
     wired to ``atexit`` via :func:`shutdown_pools`) tears everything
-    down; shared-memory segments are ExitStack-managed so they are
-    released even on an exception mid-``__init__`` consumer.
+    down.
     """
 
     def __init__(self, workers: int, config: PoolConfig | None = None) -> None:
@@ -736,8 +596,6 @@ class WorkerPool:
             self._ctx = multiprocessing.get_context("forkserver")
         except ValueError:  # pragma: no cover - platform without forkserver
             self._ctx = multiprocessing.get_context("spawn")
-        self._stack = contextlib.ExitStack()
-        self._board = self._stack.enter_context(HeartbeatBoard(workers))
         self._stop_event = self._ctx.Event()
         self._members = [
             _Member(
@@ -768,7 +626,7 @@ class WorkerPool:
         return any(member.alive for member in self._members)
 
     def close(self) -> None:
-        """Stop workers, release shared memory.  Idempotent."""
+        """Stop workers and close their pipes.  Idempotent."""
         if self.closed:
             return
         self.closed = True
@@ -788,7 +646,6 @@ class WorkerPool:
                     process.join(timeout=5.0)
             self._release_member(member)
             member.state = WorkerState.RETIRED
-        self._stack.close()
 
     def _release_member(self, member: _Member) -> None:
         """Close a member's IPC handles (the process is handled by the
@@ -798,11 +655,8 @@ class WorkerPool:
                 member.conn.close()
             except OSError:  # pragma: no cover - already torn down
                 pass
-        if member.ring is not None:
-            member.ring.close()
         member.process = None
         member.conn = None
-        member.ring = None
         member.assembler = None
         member.run_ready = False
         member.shard = None
@@ -1071,17 +925,11 @@ class WorkerPool:
                     return False
 
             def _spawn(member: _Member) -> None:
-                self._board.reset(member.worker_id)
-                ring = self._stack.enter_context(
-                    ShmRing.create(self._ctx.Lock(), self.config.ring_bytes)
-                )
                 parent_conn, child_conn = self._ctx.Pipe()
                 process = self._ctx.Process(
                     target=_pool_worker_main,
                     args=(
                         member.worker_id, self.workers, child_conn,
-                        ring.name, ring.lock, ring.capacity,
-                        self._board.name, self.workers,
                         self._stop_event, self.config,
                     ),
                     daemon=True,
@@ -1091,7 +939,6 @@ class WorkerPool:
                 child_conn.close()
                 member.process = process
                 member.conn = parent_conn
-                member.ring = ring
                 member.assembler = FrameAssembler()
                 member.run_ready = False
                 member.state = WorkerState.SPAWNING
@@ -1099,8 +946,8 @@ class WorkerPool:
                     member.worker_id, WorkerState.SPAWNING.value, "spawn"
                 )
                 member.spawn_started = monotonic_clock()
-                member.last_counter = -1
                 member.last_progress = member.spawn_started
+                member.last_beat = None
                 if not _send(member, run_cmd):
                     _fail(member, "pipe closed at spawn")
 
@@ -1108,21 +955,20 @@ class WorkerPool:
                 """Reuse a warm worker for this run: discard any stale
                 stream bytes from a previous aborted run, re-announce."""
                 try:
-                    while member.ring.read():
+                    while member.read():
                         pass
-                except PoolProtocolError:
-                    _fail(member, "stale ring unreadable at re-arm")
+                except EOFError:
+                    _fail(member, "pipe closed at re-arm")
                     return
                 member.assembler = FrameAssembler()
-                self._board.reset(member.worker_id)
                 member.run_ready = False
                 member.state = WorkerState.SPAWNING
                 checker.note_worker(
                     member.worker_id, WorkerState.SPAWNING.value, "re-arm"
                 )
                 member.spawn_started = monotonic_clock()
-                member.last_counter = -1
                 member.last_progress = member.spawn_started
+                member.last_beat = None
                 if not _send(member, run_cmd):
                     _fail(member, "pipe closed at re-arm")
 
@@ -1130,18 +976,19 @@ class WorkerPool:
                 """Kill and (eventually) respawn a failed worker; blame,
                 strike, and requeue its unacknowledged trials."""
                 nonlocal respawns_this_run, next_shard_id
-                heartbeat = self._board.read(member.worker_id)
                 blamed_key: str | None = None
                 shard = member.shard
                 if shard is not None:
                     remaining = shard.unfinished()
                     checker.note_unassign(remaining)
                     blame: int | None = None
+                    beat = member.last_beat
                     if (
-                        heartbeat.shard == shard.shard_id
-                        and heartbeat.trial in remaining
+                        beat is not None
+                        and beat[0] == shard.shard_id
+                        and beat[1] in remaining
                     ):
-                        blame = heartbeat.trial
+                        blame = beat[1]
                     elif remaining:
                         blame = remaining[0]
                     if blame is not None:
@@ -1184,6 +1031,11 @@ class WorkerPool:
                 nonlocal longest_trial_s, breaker_state, breaker_skips
                 nonlocal stop_skips
                 tag = message[0]
+                if tag == _MSG_BEAT:
+                    _, wid, rid, shard_id, index = message
+                    if rid == run_id:
+                        member.last_beat = (shard_id, index)
+                    return None
                 if tag == _MSG_TRIAL:
                     (_, wid, rid, index, key, ok, payload,
                      error_type, error_text, elapsed_s) = message
@@ -1295,8 +1147,8 @@ class WorkerPool:
                 )
 
             def _service(member: _Member) -> None:
-                """One supervision pass over one member: drain its ring,
-                then judge liveness, heartbeat freshness, and deadlines."""
+                """One supervision pass over one member: drain its pipe,
+                then judge liveness, progress, and deadlines."""
                 now = monotonic_clock()
                 if member.state is WorkerState.RESPAWNING:
                     if (
@@ -1309,12 +1161,14 @@ class WorkerPool:
                 if member.process is None:
                     return
                 fail_reason: str | None = None
+                framed = False
                 try:
-                    while True:
-                        data = member.ring.read()
+                    while not fail_reason and config_error is None:
+                        data = member.read()
                         if not data:
                             break
                         for payload in member.assembler.feed(data):
+                            framed = True
                             try:
                                 message = pickle.loads(payload)
                             # Framed bytes verified the CRC but may still
@@ -1326,10 +1180,10 @@ class WorkerPool:
                             fail_reason = _handle(member, message)
                             if fail_reason or config_error is not None:
                                 break
-                        if fail_reason or config_error is not None:
-                            break
                 except PoolProtocolError as exc:
                     fail_reason = f"corrupt result stream: {exc}"
+                except EOFError:
+                    fail_reason = "worker process died (pipe closed)"
                 if config_error is not None:
                     return
                 if fail_reason:
@@ -1342,15 +1196,13 @@ class WorkerPool:
                         f"(exitcode {member.process.exitcode})",
                     )
                     return
-                heartbeat = self._board.read(member.worker_id)
-                if heartbeat.counter != member.last_counter:
-                    member.last_counter = heartbeat.counter
+                if framed:
                     member.last_progress = now
                     if member.state is WorkerState.SUSPECT:
                         member.state = WorkerState.HEALTHY
                         checker.note_worker(
                             member.worker_id, WorkerState.HEALTHY.value,
-                            "heartbeat resumed",
+                            "frame arrived",
                         )
                 if member.state is WorkerState.SPAWNING:
                     if now - member.spawn_started > self.config.spawn_timeout_s:
@@ -1369,12 +1221,12 @@ class WorkerPool:
                         member.state = WorkerState.SUSPECT
                         checker.note_worker(
                             member.worker_id, WorkerState.SUSPECT.value,
-                            f"heartbeat stale {stale_s:.1f}s",
+                            f"no frame for {stale_s:.1f}s",
                         )
                     if stale_s > self.config.hang_deadline_s(longest_trial_s):
                         _fail(
                             member,
-                            f"hung: heartbeat stale {stale_s:.1f}s past "
+                            f"hung: no frame for {stale_s:.1f}s past "
                             "the hang deadline",
                         )
 
@@ -1462,6 +1314,11 @@ class WorkerPool:
                                         ),
                                     ):
                                         member.shard = shard
+                                        # Idle workers do not beat; the
+                                        # hang clock starts at dispatch.
+                                        member.last_progress = (
+                                            monotonic_clock()
+                                        )
                                         checker.note_dispatch(
                                             member.worker_id, shard.indices
                                         )

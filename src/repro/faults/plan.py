@@ -52,10 +52,10 @@ class FaultSite(enum.Enum):
     ``POOL_WORKER_CRASH``       the pool worker executing the trial is
                                 SIGKILLed before the trial runs (chaos for the
                                 supervised executor's respawn/requeue path)
-    ``POOL_WORKER_STALL``       the pool worker stops heartbeating and hangs
+    ``POOL_WORKER_STALL``       the pool worker goes silent and hangs
                                 before the trial (``magnitude_cycles`` µs·10⁶,
                                 capped) until the parent's hang watchdog kills it
-    ``POOL_RESULT_CORRUPT``     the worker's checksummed shared-memory result
+    ``POOL_RESULT_CORRUPT``     the worker's checksummed result
                                 frame for the trial is garbled in flight, so the
                                 parent must detect it via CRC and heal
     ``SERVICE_SESSION_STALL``   an attack session wedges for ``magnitude_cycles``

@@ -99,15 +99,11 @@ CLOCK_SOURCES = frozenset(
 )
 CLOCK_SOURCE_SUFFIXES: tuple[str, ...] = ("wall_clock", "monotonic_clock")
 
-#: Dotted-origin suffixes that acquire a kernel-backed resource (kept in
-#: sync with PAR002's acquirer table — EXC101 follows the same resources
-#: through helper returns).
+#: Dotted-origin suffixes that acquire a kernel-backed resource: the one
+#: table PAR002 checks acquisitions against and EXC101 follows through
+#: helper returns.
 RESOURCE_ACQUIRERS: tuple[str, ...] = (
     "multiprocessing.shared_memory.SharedMemory",
-    "ShmRing.create",
-    "ShmRing.attach",
-    "HeartbeatBoard",
-    "HeartbeatBoard.attach",
 )
 
 #: In-place container mutators (shared shape with PAR001's analysis).

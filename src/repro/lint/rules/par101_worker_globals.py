@@ -19,7 +19,7 @@ can reach.
 
 **Fix:** thread the state through the plan (build it in
 ``trial_plan()``/``plan_source()``) or return it through the result
-ring; per-process caches that are *provably* rebuilt per
+stream; per-process caches that are *provably* rebuilt per
 (run, fingerprint) may carry an inline
 ``# repro-lint: ignore[PAR101]`` with a justifying comment.
 """
@@ -67,7 +67,7 @@ class WorkerGlobalChecker(ProjectChecker):
                     f" ({write.kind}) by `{qname}`, reachable from pool"
                     f" worker entry `{entry}`; per-process mutation"
                     " diverges across workers and survives worker reuse —"
-                    " thread state through the plan or the result ring"
+                    " thread state through the plan or the result stream"
                     " (static twin of PoolStateChecker)",
                 )
         return self.findings

@@ -23,7 +23,7 @@ join is union, so the fixpoint is a standard monotone worklist:
 ``env``
     read from ``os.environ``;
 ``resource``
-    a kernel-backed pool resource (shared memory, rings, boards).
+    a kernel-backed resource (a shared-memory segment).
 
 Three families of facts reach the fixpoint together:
 

@@ -9,20 +9,26 @@ Also here (all marked ``pool``, run via ``scripts/run_pool_smoke.sh``):
 * external ``kill -9`` of a worker mid-shard (fig09 and table3), healed
   byte-identically;
 * the SIGTERM drain contract of the pool's parent: a SIGTERM mid-run
-  exits 130 with the manifest flushed and resumable.
+  exits 130 with the manifest flushed and resumable;
+* worker lifecycle edges: a warm pool left idle past its hang floor is
+  not reaped on its next run, and workers whose parent is SIGKILLed
+  exit on their own.
 """
 
 import functools
 import os
+import pickle
+import select
 import signal
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.experiments import table3_noise
+from repro.experiments import fig09_covert, table3_noise
 from repro.experiments.checkpoint import (
     MANIFEST_NAME,
     STATUS_COMPLETED,
@@ -35,6 +41,7 @@ from repro.experiments.supervisor import PoolConfig
 from repro.faults import FaultPlan, FaultSite
 from repro.faults.sites import POOL_SITES
 from tests.experiments.test_parallel_equivalence import (
+    FIG09_CONFIG,
     TABLE3_CONFIG,
     _assert_same_artifact,
     _fig09_plan,
@@ -237,3 +244,132 @@ class TestSigtermDrain:
         manifest = RunManifest.load(run_dir)
         assert manifest.status == STATUS_INTERRUPTED
         assert manifest.exit_code == 130
+
+
+class TestIdleWarmPool:
+    def test_pool_idle_past_its_hang_floor_is_not_reaped(self, tmp_path):
+        """Idle workers send nothing between runs; a warm pool left
+        idle past its hang floor must not look hung when the next run
+        starts."""
+        serial_dir = tmp_path / "serial"
+        pool_dir = tmp_path / "pool"
+        serial = run_experiment(_fig09_plan(), run_dir=serial_dir)
+        assert serial.status == STATUS_COMPLETED
+        source = fig09_covert.plan_source(**FIG09_CONFIG)
+        first = run_pool_experiment(
+            _fig09_plan(),
+            plan_source=source,
+            workers=2,
+            executor="pool",
+            config=_CHAOS_CONFIG,
+        )
+        assert first.status == STATUS_COMPLETED
+        time.sleep(1.5)  # past hang_floor_s = 1.0
+        second = run_pool_experiment(
+            _fig09_plan(),
+            plan_source=source,
+            workers=2,
+            run_dir=pool_dir,
+            executor="pool",
+            config=_CHAOS_CONFIG,
+        )
+        assert second.status == STATUS_COMPLETED
+        assert second.pool["respawns"] == 0
+        assert pickle.dumps(second.result, protocol=4) == pickle.dumps(
+            serial.result, protocol=4
+        )
+        _assert_same_artifact(serial_dir, pool_dir)
+
+
+def _worker_pid(delay_s: float) -> int:
+    time.sleep(delay_s)
+    return os.getpid()
+
+
+def _pid_plan(trials: int, delay_s: float) -> ExperimentPlan:
+    """Short trials that report which worker ran them."""
+    return ExperimentPlan(
+        name="pool-orphans",
+        seed=0,
+        config={"trials": trials, "delay_s": delay_s},
+        trials=tuple(
+            TrialSpec(
+                key=f"pid/{index}",
+                fn=functools.partial(_worker_pid, delay_s),
+            )
+            for index in range(trials)
+        ),
+        finalize=lambda results: sorted(set(results.values())),
+    )
+
+
+#: Warms a 2-worker pool, prints its worker PIDs, then keeps both
+#: workers busy on a long run until the test SIGKILLs this process.
+_ORPHAN_SCRIPT = textwrap.dedent(
+    """
+    import functools
+    import multiprocessing
+
+    from repro.experiments.pool import run_pool_experiment
+    from tests.chaos.test_pool_fault_matrix import _pid_plan
+
+    def run(trials):
+        source = functools.partial(_pid_plan, trials, 0.01)
+        run_pool_experiment(
+            source(), plan_source=source, workers=2, executor="pool"
+        )
+
+    run(4)
+    pids = [child.pid for child in multiprocessing.active_children()]
+    print(" ".join(map(str, pids)), flush=True)
+    run(5000)
+    """
+)
+
+
+def _pid_exited(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+class TestOrphanedWorkers:
+    def test_workers_exit_after_their_parent_is_sigkilled(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src"), str(REPO_ROOT)]
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SCRIPT],
+            env=env,
+            cwd=REPO_ROOT,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+        )
+        pids: list[int] = []
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 120)
+            assert ready, "the pool never reported its workers"
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            assert len(pids) == 2, f"expected 2 worker PIDs, got {pids}"
+            time.sleep(0.5)  # both workers are now mid-shard
+            proc.kill()
+            proc.wait(timeout=30)
+            # Watchdog over real processes: injectable clocks cannot
+            # time out an orphan that genuinely lingers.
+            deadline = time.monotonic() + 15  # repro-lint: ignore[DET002]
+            while not all(_pid_exited(pid) for pid in pids):
+                assert (
+                    time.monotonic() < deadline  # repro-lint: ignore[DET002]
+                ), f"orphaned pool workers still alive: {pids}"
+                time.sleep(0.05)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            for pid in pids:
+                if not _pid_exited(pid):
+                    os.kill(pid, signal.SIGKILL)

@@ -1,104 +1,31 @@
-"""Unit coverage for the pool's building blocks: the checksummed
-shared-memory result ring, frame assembly, the heartbeat scoreboard,
-respawn backoff, the poison ledger, the cost model, and the interrupt
-plumbing the parent relies on to drain cleanly.
+"""Unit coverage for the pool's building blocks: assembly of the
+CRC32-framed stream a worker writes into its pipe, respawn backoff, the
+poison ledger, the cost model, and the interrupt plumbing the parent
+relies on to drain cleanly.
 """
 
-import multiprocessing
 import os
 import pickle
 import signal
-import threading
 
 import pytest
 
 from repro.experiments.pool import (
+    _FRAME_HEADER,
+    _FRAME_LIMIT,
+    _FRAME_MAGIC,
     FrameAssembler,
     PoolProtocolError,
-    ShmRing,
     _encode_frame,
 )
 from repro.experiments.supervisor import (
     CostModel,
-    HeartbeatBoard,
     PoisonLedger,
     PoolConfig,
     RespawnBackoff,
     interrupt_shield,
     sigterm_as_interrupt,
 )
-
-
-@pytest.fixture
-def ring():
-    lock = multiprocessing.get_context("spawn").Lock()
-    with ShmRing.create(lock, capacity=4096) as owner:
-        yield owner
-
-
-class TestShmRing:
-    def test_roundtrip_preserves_frame_bytes(self, ring):
-        payload = _encode_frame(pickle.dumps({"hello": "pool"}))
-        ring.write(payload)
-        assert ring.read() == payload
-
-    def test_chunked_reads_reassemble(self, ring):
-        payload = _encode_frame(bytes(i % 251 for i in range(900)))
-        ring.write(payload)
-        chunks = []
-        while True:
-            chunk = ring.read(max_bytes=64)
-            if not chunk:
-                break
-            chunks.append(chunk)
-        assert b"".join(chunks) == payload
-
-    def test_wraparound_write_larger_than_free_space(self, ring):
-        """A writer blocked on a full ring resumes as the reader drains,
-        and the bytes still arrive in order across the wrap point."""
-        first = _encode_frame(b"a" * 3000)
-        second = _encode_frame(b"b" * 3000)  # does not fit alongside first
-        ring.write(first)
-        writer = threading.Thread(target=ring.write, args=(second,))
-        writer.start()
-        received = bytearray()
-        while len(received) < len(first) + len(second):
-            received.extend(ring.read())
-        writer.join(timeout=5)
-        assert not writer.is_alive()
-        assert bytes(received) == first + second
-
-    def test_corrupt_header_trips_protocol_error(self, ring):
-        ring.write(_encode_frame(b"x"))
-        ring._shm.buf[0:8] = (2**63).to_bytes(8, "little")  # absurd head
-        with pytest.raises(PoolProtocolError):
-            ring.read()
-
-    def test_attach_then_owner_unlink(self):
-        lock = multiprocessing.get_context("spawn").Lock()
-        owner = ShmRing.create(lock, capacity=4096)
-        try:
-            attached = ShmRing.attach(owner.name, lock, capacity=4096)
-            try:
-                attached.write(_encode_frame(b"from-attacher"))
-                assert ring_read_all(owner) == _encode_frame(b"from-attacher")
-            finally:
-                attached.close()
-        finally:
-            owner.close()
-
-    def test_close_is_idempotent(self, ring):
-        ring.close()
-        ring.close()
-
-
-def ring_read_all(ring) -> bytes:
-    data = bytearray()
-    while True:
-        chunk = ring.read()
-        if not chunk:
-            return bytes(data)
-        data.extend(chunk)
 
 
 class TestFrameAssembler:
@@ -122,35 +49,10 @@ class TestFrameAssembler:
         with pytest.raises(PoolProtocolError):
             FrameAssembler().feed(frame)
 
-
-class TestHeartbeatBoard:
-    def test_beat_read_roundtrip(self):
-        with HeartbeatBoard(2) as board:
-            board.beat(1, trial=7, shard=3)
-            beat = board.read(1)
-            assert (beat.counter, beat.trial, beat.shard) == (1, 7, 3)
-            assert beat.timestamp > 0
-            assert board.read(0).counter == 0
-
-    def test_attacher_writes_what_the_owner_reads(self):
-        with HeartbeatBoard(2) as board:
-            worker_view = HeartbeatBoard.attach(board.name, 2)
-            try:
-                worker_view.beat(0, trial=5, shard=1)
-            finally:
-                worker_view.close()
-            assert board.read(0).trial == 5
-
-    def test_reset_zeroes_a_slot(self):
-        with HeartbeatBoard(1) as board:
-            board.beat(0, trial=3, shard=2)
-            board.reset(0)
-            assert board.read(0).counter == 0
-
-    def test_rejects_zero_slots(self):
-        with pytest.raises(ValueError):
-            # Rejected before any segment is allocated — nothing leaks.
-            HeartbeatBoard(0)  # repro-lint: ignore[PAR002]
+    def test_oversize_header_raises_before_any_body_arrives(self):
+        header = _FRAME_HEADER.pack(_FRAME_MAGIC, _FRAME_LIMIT + 1, 0)
+        with pytest.raises(PoolProtocolError, match="exceeds limit"):
+            FrameAssembler().feed(header)
 
 
 class TestRespawnBackoff:
@@ -232,10 +134,6 @@ class TestPoolConfig:
         config = PoolConfig(hang_floor_s=30.0, hang_factor=3.0)
         assert config.hang_deadline_s(1.0) == 30.0
         assert config.hang_deadline_s(20.0) == 60.0
-
-    def test_rejects_tiny_ring(self):
-        with pytest.raises(ValueError):
-            PoolConfig(ring_bytes=16)
 
 
 class TestInterruptPlumbing:

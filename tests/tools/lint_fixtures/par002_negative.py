@@ -5,14 +5,12 @@ import atexit
 import contextlib
 import weakref
 from multiprocessing import shared_memory
-
-from repro.experiments.pool import ShmRing
-from repro.experiments.supervisor import HeartbeatBoard
+from multiprocessing.shared_memory import SharedMemory
 
 
-def context_manager(lock, capacity):
-    with ShmRing.create(lock, capacity) as ring:
-        ring.write(b"payload")
+def context_manager(size, payload):
+    with SharedMemory(create=True, size=size) as shm:
+        shm.buf[:len(payload)] = payload
 
 
 def with_statement_segment(slots):
@@ -20,28 +18,28 @@ def with_statement_segment(slots):
         return bytes(shm.buf[:8])
 
 
-def exit_stack(name, lock, capacity, slots):
+def exit_stack(name, spare_name):
     with contextlib.ExitStack() as stack:
-        ring = stack.enter_context(ShmRing.attach(name, lock, capacity))
-        board = stack.enter_context(HeartbeatBoard.attach(name, slots))
-        board.beat(0)
-        return ring.read()
+        shm = stack.enter_context(SharedMemory(name=name))
+        spare = stack.enter_context(SharedMemory(name=spare_name))
+        spare.buf[0] = 1
+        return bytes(shm.buf[:8])
 
 
-def try_finally(workers):
-    board = HeartbeatBoard(workers)
+def try_finally(size):
+    shm = SharedMemory(create=True, size=size)
     try:
-        board.beat(0)
+        shm.buf[0] = 1
     finally:
-        board.close()
+        shm.close()
 
 
-def registered_finalizers(workers, slots):
-    board = HeartbeatBoard(workers)
-    atexit.register(board.close)
-    spare = HeartbeatBoard(slots)
+def registered_finalizers(size, slots):
+    shm = SharedMemory(create=True, size=size)
+    atexit.register(shm.close)
+    spare = SharedMemory(create=True, size=slots)
     weakref.finalize(spare, spare.close)
-    return board, spare
+    return shm, spare
 
 
 class Owner:

@@ -2,9 +2,7 @@
 """PAR002 positive fixture: pool resources acquired with no release."""
 
 from multiprocessing import shared_memory
-
-from repro.experiments.pool import ShmRing
-from repro.experiments.supervisor import HeartbeatBoard
+from multiprocessing.shared_memory import SharedMemory
 
 
 def bare_segment(slots):
@@ -12,21 +10,21 @@ def bare_segment(slots):
     return shm.name  # the handle itself is dropped, segment leaks
 
 
-def unmanaged_ring(lock, capacity):
-    ring = ShmRing.create(lock, capacity)
-    ring.write(b"payload")
-    ring.close()  # not reached if write raises: no finally, no with
+def unmanaged_segment(size, payload):
+    shm = SharedMemory(create=True, size=size)
+    shm.buf[:len(payload)] = payload
+    shm.close()  # not reached if the copy raises: no finally, no with
 
 
-def unmanaged_attach(name, lock, capacity):
-    ring = ShmRing.attach(name, lock, capacity)
-    return ring.read()
+def unmanaged_attach(name):
+    shm = SharedMemory(name=name)
+    return bytes(shm.buf[:8])
 
 
-def board_without_owner(workers):
-    board = HeartbeatBoard(workers)
-    board.beat(0)
+def segment_without_owner(size):
+    shm = SharedMemory(create=True, size=size)
+    shm.buf[0] = 1
 
 
-def attach_expression_statement(name, slots):
-    HeartbeatBoard.attach(name, slots).read(0)
+def attach_expression_statement(name):
+    SharedMemory(name=name).buf.tobytes()

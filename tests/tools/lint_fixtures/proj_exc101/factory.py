@@ -1,13 +1,13 @@
 # repro-lint-fixture-module: fixproj.factory
 """Resource factories: returning an acquisition is sanctioned (PAR002)."""
 
-from repro.experiments.pool import ShmRing
+from multiprocessing.shared_memory import SharedMemory
 
 
-def make_ring(lock, capacity):
-    return ShmRing.create(lock, capacity)
+def make_segment(size):
+    return SharedMemory(create=True, size=size)
 
 
-def make_ring_indirect(lock, capacity):
+def make_segment_indirect(size):
     # Still a factory two levels deep — callers own the result.
-    return make_ring(lock, capacity)
+    return make_segment(size)

@@ -3,32 +3,32 @@
 
 from contextlib import ExitStack
 
-from fixproj.factory import make_ring, make_ring_indirect
+from fixproj.factory import make_segment, make_segment_indirect
 
 
-def bad_consume(lock, payload):
-    ring = make_ring(lock, 4096)  # leaked: nothing ever closes it
-    ring.write(payload)
+def bad_consume(payload):
+    shm = make_segment(4096)  # leaked: nothing ever closes it
+    shm.buf[:len(payload)] = payload
 
 
-def bad_consume_indirect(lock, payload):
-    ring = make_ring_indirect(lock, 4096)  # leaked through two hops
-    ring.write(payload)
+def bad_consume_indirect(payload):
+    shm = make_segment_indirect(4096)  # leaked through two hops
+    shm.buf[:len(payload)] = payload
 
 
-def good_with_stack(lock, payload):
+def good_with_stack(payload):
     with ExitStack() as stack:
-        ring = stack.enter_context(make_ring(lock, 4096))
-        ring.write(payload)
+        shm = stack.enter_context(make_segment(4096))
+        shm.buf[:len(payload)] = payload
 
 
-def good_finally(lock, payload):
-    ring = make_ring(lock, 4096)
+def good_finally(payload):
+    shm = make_segment(4096)
     try:
-        ring.write(payload)
+        shm.buf[:len(payload)] = payload
     finally:
-        ring.close()
+        shm.close()
 
 
-def good_factory_onward(lock):
-    return make_ring(lock, 4096)
+def good_factory_onward():
+    return make_segment(4096)

@@ -255,16 +255,16 @@ def test_resource_return_is_transitive(tmp_path):
         tmp_path,
         "mod.py",
         "fix.mod",
-        "from repro.experiments.pool import ShmRing\n"
+        "from multiprocessing.shared_memory import SharedMemory\n"
         "\n"
-        "def make(lock):\n"
-        "    return ShmRing.create(lock, 64)\n"
+        "def make(size):\n"
+        "    return SharedMemory(create=True, size=size)\n"
         "\n"
-        "def make2(lock):\n"
-        "    return make(lock)\n"
+        "def make2(size):\n"
+        "    return make(size)\n"
         "\n"
-        "def make3(lock):\n"
-        "    return make2(lock)\n",
+        "def make3(size):\n"
+        "    return make2(size)\n",
     )
     analysis = analyze([mod])
     assert analysis.returns_resource["fix.mod.make"]
